@@ -69,6 +69,9 @@ from repro.workloads.jobs import Job
 
 __all__ = ["CoSchedulingEnv"]
 
+#: bound (entries) of a step-decision memo
+DECISION_MEMO_SIZE = 32768
+
 
 class _ActionInfo:
     """Static facts about one group template, computed once per env.
@@ -284,8 +287,6 @@ class CoSchedulingEnv(Env):
         seed: int = 0,
         shuffle_windows: bool = True,
         binding: str = "auto",
-        memoize_decisions: bool = True,
-        decision_cache_size: int = 32768,
         window_context_cache: dict[tuple, "_WindowContext"] | None = None,
         decision_memo: CoRunCache | None = None,
     ):
@@ -329,11 +330,10 @@ class CoSchedulingEnv(Env):
         # is bypassed whenever global co-run caching is disabled, so one
         # switch selects reference vs. fast semantics for a whole
         # episode (the mode is latched at reset()).
-        self.memoize_decisions = memoize_decisions
         self._decisions = (
             decision_memo
             if decision_memo is not None
-            else CoRunCache(maxsize=decision_cache_size)
+            else CoRunCache(maxsize=DECISION_MEMO_SIZE)
         )
         # An externally-owned cache (keyed by window content signature)
         # lets a trainer share the per-window precomputation across the
@@ -392,7 +392,7 @@ class CoSchedulingEnv(Env):
         self._jobs = list(jobs)
         self._profiles = profiles
         self._sigs = sigs
-        self._fast = self.memoize_decisions and corun_caching_enabled()
+        self._fast = corun_caching_enabled()
         if self._fast:
             ctx = self._window_cache.get(sigs)
             if ctx is None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import TrainingError
 from repro.core.actions import ActionCatalog
-from repro.core.env import CoSchedulingEnv
+from repro.core.env import DECISION_MEMO_SIZE, CoSchedulingEnv
 from repro.core.features import FeatureExtractor
 from repro.core.rewards import RewardConfig
 from repro.core.vector_env import VectorCoSchedulingEnv
@@ -115,7 +115,7 @@ class OfflineTrainer:
         # builds: keys are content signatures (not queue positions), so
         # later train() calls and vectorized sub-envs all reuse earlier
         # decisions instead of each warming a private memo from zero.
-        self._decision_memo = CoRunCache(maxsize=32768)
+        self._decision_memo = CoRunCache(maxsize=DECISION_MEMO_SIZE)
 
     # ------------------------------------------------------------------
     def build_repository(self) -> ProfileRepository:

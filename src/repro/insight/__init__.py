@@ -18,11 +18,11 @@ Four pieces (DESIGN.md §10):
   :class:`Alert`\\ s back into the trace, plus the multi-window
   burn-rate SLO monitor (:func:`scan_burn_rate`) over fleet rollup
   frames;
-* :mod:`repro.insight.benchgate` — the bench-regression gate diffing a
-  fresh ``BENCH_training.json`` against the committed baseline with
-  tolerance bands (the ``repro-gpu benchgate`` CI job), plus the
-  self-contained telemetry-overhead gate
-  (:func:`measure_overhead_bench`).
+* :mod:`repro.insight.benchgate` — the telemetry-overhead gate behind
+  ``repro-gpu benchgate``: telemetry-on fleet throughput must stay
+  within a fixed budget of telemetry-off, with identical simulated
+  statistics (:func:`measure_overhead_bench`,
+  :func:`compare_overhead_bench`).
 
 Everything here is observer-only: recording consumes no randomness and
 mutates no scheduler state, so instrumented runs stay bitwise-identical
@@ -40,13 +40,10 @@ from repro.insight.alerts import (
 from repro.insight.benchgate import (
     OVERHEAD_BUDGET,
     GateCheck,
-    compare_bench,
     compare_overhead_bench,
     format_checks,
     gate_passes,
-    load_bench,
     measure_overhead_bench,
-    measure_training_bench,
 )
 from repro.insight.records import (
     AlternativeAction,
@@ -74,13 +71,10 @@ __all__ = [
     "write_alerts_jsonl",
     "GateCheck",
     "OVERHEAD_BUDGET",
-    "compare_bench",
     "compare_overhead_bench",
     "format_checks",
     "gate_passes",
-    "load_bench",
     "measure_overhead_bench",
-    "measure_training_bench",
     "AlternativeAction",
     "DecisionRecord",
     "DecisionRecorder",

@@ -1,44 +1,26 @@
-"""Bench-regression gate: diff a fresh benchmark against the baseline.
+"""Telemetry-overhead gate: observation must stay cheap and pure.
 
-The perf suites write their measurements to committed baselines
-(``benchmarks/test_perf_training.py`` -> ``BENCH_training.json``,
-``benchmarks/test_perf_serving.py`` -> ``BENCH_serving.json``); this
-module compares such a document against the committed baseline with
-per-metric tolerance bands and reports which checks regressed — the
-``repro-gpu benchgate`` CLI exits non-zero on any regression, which is
-what CI gates on.
+:func:`measure_overhead_bench` drains one seeded fleet workload with
+telemetry off, with the always-on telemetry plane, and with the
+lifecycle trace stream on top; :func:`compare_overhead_bench` judges the
+resulting document against a fixed budget, so no committed baseline is
+needed. ``repro-gpu benchgate`` runs both and exits non-zero when either
+check regresses:
 
-Training metrics (all "higher is better"):
+* ``overhead.throughput_ratio`` — telemetry-off wall over telemetry-on
+  wall must stay at or above :data:`OVERHEAD_BUDGET`;
+* ``overhead.identical_stats`` — the observed drains must reproduce the
+  unobserved drain's simulated statistics exactly.
 
-* ``speedup.episodes_per_sec_fastpath`` — fast-path training throughput
-* ``speedup.speedup``                   — fast-path / reference ratio
-* ``hit_rate.corun_cache_tail.hit_rate`` — steady-state cache hit rate
-* ``speedup.identical_returns``          — must stay ``true`` (the
-  fast path's bitwise-identity contract; no tolerance band)
-
-Serving metrics:
-
-* ``serving.decisions_per_sec_batched`` / ``serving.speedup`` —
-  higher-is-better throughput of the batched serving path
-* ``serving.p99_decision_latency_s``    — *lower is better*: a
-  candidate regresses when it exceeds the baseline's band
-* ``serving.identical_schedules``       — must stay ``true`` (batched
-  serving's bitwise-identity contract)
-
-A higher-is-better value ``c`` regresses against baseline ``b`` when
-``c < b * (1 - tolerance)``; a lower-is-better value when
-``c > b * (1 + tolerance)``. Default tolerance is 0.15 per metric; CI
-uses a much looser band (shared runners are noisy) via ``--tolerance``.
-
-:func:`measure_training_bench` / :func:`measure_serving_bench`
-regenerate candidate documents with the committed schemas without going
-through pytest — cheap smoke measurements for CI (smaller budgets, no
-hard threshold assertions; the tolerance band does the judging).
+End-to-end throughput, latency and simulated gain are measured by the
+repository benchmark (``python3 bench/run.py``, bounds in
+``BENCHMARK.json``), not here. :data:`HIERARCHY_BENCH_POOL` is the job
+pool that benchmark's ``fleet-placed`` workload and the two-level
+placement test (``benchmarks/test_two_level_placement.py``) share.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -47,79 +29,13 @@ from repro.errors import ReproError
 
 __all__ = [
     "GateCheck",
-    "DEFAULT_TOLERANCE",
-    "RATIO_CHECKS",
-    "BOOL_CHECKS",
-    "SERVING_RATIO_CHECKS",
-    "SERVING_LOWER_CHECKS",
-    "SERVING_BOOL_CHECKS",
-    "FLEET_RATIO_CHECKS",
-    "FLEET_BOOL_CHECKS",
-    "HIERARCHY_RATIO_CHECKS",
-    "HIERARCHY_BOOL_CHECKS",
-    "load_bench",
-    "compare_bench",
-    "compare_serving_bench",
-    "compare_fleet_bench",
-    "compare_hierarchy_bench",
     "gate_passes",
     "format_checks",
-    "measure_training_bench",
-    "measure_serving_bench",
-    "measure_fleet_bench",
-    "measure_hierarchy_bench",
     "OVERHEAD_BUDGET",
     "measure_overhead_bench",
     "compare_overhead_bench",
+    "HIERARCHY_BENCH_POOL",
 ]
-
-DEFAULT_TOLERANCE = 0.15
-
-#: dotted keys compared with a tolerance band, higher-is-better
-RATIO_CHECKS = (
-    "speedup.episodes_per_sec_fastpath",
-    "speedup.speedup",
-    "hit_rate.corun_cache_tail.hit_rate",
-)
-
-#: dotted keys that must be exactly true in the candidate
-BOOL_CHECKS = ("speedup.identical_returns",)
-
-#: serving-document keys, higher-is-better
-SERVING_RATIO_CHECKS = (
-    "serving.decisions_per_sec_batched",
-    "serving.speedup",
-)
-
-#: serving-document keys, lower-is-better (latency)
-SERVING_LOWER_CHECKS = ("serving.p99_decision_latency_s",)
-
-#: serving-document keys that must be exactly true in the candidate
-SERVING_BOOL_CHECKS = ("serving.identical_schedules",)
-
-#: fleet-document keys, higher-is-better (simulated completions per
-#: wall-clock minute on the event engine)
-FLEET_RATIO_CHECKS = ("fleet.completions_per_min",)
-
-#: fleet-document keys that must be exactly true in the candidate
-#: (the event engine's bitwise-identity contract with the old loop)
-FLEET_BOOL_CHECKS = ("fleet.identical_schedules",)
-
-#: hierarchy-document keys, higher-is-better: the two-level policy's
-#: makespan edge over least-loaded, its relative fairness, and the
-#: wall-clock routing throughput of the learned placement level
-HIERARCHY_RATIO_CHECKS = (
-    "hierarchy.makespan_improvement",
-    "hierarchy.fairness_ratio",
-    "hierarchy.placements_per_sec",
-)
-
-#: hierarchy-document keys that must be exactly true in the candidate
-HIERARCHY_BOOL_CHECKS = (
-    "hierarchy.beats_baseline",
-    "hierarchy.fairness_no_worse",
-    "hierarchy.off_flag_identical",
-)
 
 
 @dataclass(frozen=True)
@@ -127,10 +43,9 @@ class GateCheck:
     """One compared metric and its verdict."""
 
     key: str
-    baseline: float
+    baseline: float     # the value the candidate is judged against
     candidate: float
-    ratio: float        # candidate / baseline (inf when baseline is 0)
-    tolerance: float
+    ratio: float        # candidate / baseline
     regressed: bool
 
 
@@ -143,107 +58,6 @@ def _lookup(doc: dict, dotted: str):
     return node
 
 
-def load_bench(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def compare_bench(
-    baseline: dict,
-    candidate: dict,
-    tolerance: float | None = None,
-    *,
-    ratio_checks: tuple[str, ...] = RATIO_CHECKS,
-    bool_checks: tuple[str, ...] = BOOL_CHECKS,
-    lower_checks: tuple[str, ...] = (),
-) -> list[GateCheck]:
-    """Every gate check, in declaration order.
-
-    ``ratio_checks`` are higher-is-better, ``lower_checks`` (e.g. tail
-    latencies) lower-is-better, ``bool_checks`` must be exactly true.
-    """
-    tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
-    if tol < 0:
-        raise ReproError("tolerance must be non-negative")
-    checks: list[GateCheck] = []
-    for key in ratio_checks:
-        b = float(_lookup(baseline, key))
-        c = float(_lookup(candidate, key))
-        ratio = c / b if b > 0 else float("inf")
-        checks.append(GateCheck(
-            key=key,
-            baseline=b,
-            candidate=c,
-            ratio=ratio,
-            tolerance=tol,
-            regressed=c < b * (1.0 - tol),
-        ))
-    for key in lower_checks:
-        b = float(_lookup(baseline, key))
-        c = float(_lookup(candidate, key))
-        ratio = c / b if b > 0 else float("inf")
-        checks.append(GateCheck(
-            key=key,
-            baseline=b,
-            candidate=c,
-            ratio=ratio,
-            tolerance=tol,
-            regressed=c > b * (1.0 + tol),
-        ))
-    for key in bool_checks:
-        b = bool(_lookup(baseline, key))
-        c = bool(_lookup(candidate, key))
-        checks.append(GateCheck(
-            key=key,
-            baseline=float(b),
-            candidate=float(c),
-            ratio=1.0 if c == b else 0.0,
-            tolerance=0.0,
-            regressed=not c,
-        ))
-    return checks
-
-
-def compare_serving_bench(
-    baseline: dict, candidate: dict, tolerance: float | None = None
-) -> list[GateCheck]:
-    """The serving-document gate (``BENCH_serving.json`` schema)."""
-    return compare_bench(
-        baseline,
-        candidate,
-        tolerance,
-        ratio_checks=SERVING_RATIO_CHECKS,
-        bool_checks=SERVING_BOOL_CHECKS,
-        lower_checks=SERVING_LOWER_CHECKS,
-    )
-
-
-def compare_fleet_bench(
-    baseline: dict, candidate: dict, tolerance: float | None = None
-) -> list[GateCheck]:
-    """The fleet-document gate (``BENCH_fleet.json`` schema)."""
-    return compare_bench(
-        baseline,
-        candidate,
-        tolerance,
-        ratio_checks=FLEET_RATIO_CHECKS,
-        bool_checks=FLEET_BOOL_CHECKS,
-    )
-
-
-def compare_hierarchy_bench(
-    baseline: dict, candidate: dict, tolerance: float | None = None
-) -> list[GateCheck]:
-    """The hierarchy-document gate (``BENCH_hierarchy.json`` schema)."""
-    return compare_bench(
-        baseline,
-        candidate,
-        tolerance,
-        ratio_checks=HIERARCHY_RATIO_CHECKS,
-        bool_checks=HIERARCHY_BOOL_CHECKS,
-    )
-
-
 def gate_passes(checks: list[GateCheck]) -> bool:
     return not any(c.regressed for c in checks)
 
@@ -252,425 +66,15 @@ def format_checks(checks: list[GateCheck]) -> str:
     """Human-readable verdict table for the CLI."""
     lines = [
         f"{'metric':<40s} {'baseline':>12s} {'candidate':>12s} "
-        f"{'ratio':>7s} {'tol':>5s}  verdict"
+        f"{'ratio':>7s}  verdict"
     ]
     for c in checks:
         verdict = "REGRESSED" if c.regressed else "ok"
         lines.append(
             f"{c.key:<40s} {c.baseline:12.4f} {c.candidate:12.4f} "
-            f"{c.ratio:7.3f} {c.tolerance:5.2f}  {verdict}"
+            f"{c.ratio:7.3f}  {verdict}"
         )
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# fresh candidate measurement (CI smoke mode)
-# ----------------------------------------------------------------------
-def measure_training_bench(
-    episodes: int = 30,
-    timed_runs: int = 2,
-    clock: Clock = perf_clock,
-) -> dict:
-    """A fresh benchmark document with the committed baseline's schema.
-
-    Mirrors ``benchmarks/test_perf_training.py`` at a smaller scale:
-    warm-up pass per mode, best-of-``timed_runs`` timings, the bitwise
-    identity check, and the greedy-rollout tail hit rate. Makes no
-    threshold assertion itself — the gate's tolerance band does the
-    judging.
-    """
-    from repro.core.env import CoSchedulingEnv
-    from repro.core.trainer import OfflineTrainer
-    from repro.perfmodel.cache import (
-        corun_cache,
-        corun_cache_disabled,
-        reset_corun_cache,
-    )
-
-    if episodes <= 0 or timed_runs <= 0:
-        raise ReproError("episodes and timed_runs must be positive")
-    repository = OfflineTrainer().build_repository()
-    tr_on = OfflineTrainer()
-    tr_off = OfflineTrainer()
-
-    with corun_cache_disabled():
-        tr_off.train(episodes=episodes, repository=repository)
-    reset_corun_cache()
-    tr_on.train(episodes=episodes, repository=repository)
-
-    off_times, on_times = [], []
-    result_off = result_on = None
-    for _ in range(timed_runs):
-        with corun_cache_disabled():
-            t0 = clock()
-            result_off = tr_off.train(episodes=episodes, repository=repository)
-            off_times.append(clock() - t0)
-        t0 = clock()
-        result_on = tr_on.train(episodes=episodes, repository=repository)
-        on_times.append(clock() - t0)
-
-    identical = (
-        result_on.episode_returns == result_off.episode_returns
-        and result_on.episode_throughputs == result_off.episode_throughputs
-    )
-    best_off, best_on = min(off_times), min(on_times)
-    corun = result_on.cache_stats["corun"]
-    decisions = result_on.cache_stats["decisions"]
-    evals = corun.lookups + decisions.hits
-
-    # greedy tail rollout for the steady-state cache hit rate
-    agent = result_on.agent
-    agent.freeze()
-    env = CoSchedulingEnv(
-        windows=tr_on._windows,
-        repository=repository,
-        catalog=tr_on.catalog,
-        window_size=tr_on.window_size,
-        reward_config=tr_on.reward_config,
-        seed=tr_on.seed,
-        binding=tr_on.binding,
-        memoize_decisions=False,
-    )
-    reset_corun_cache()
-    warmup = min(10, max(episodes // 5, 1))
-    snapshot = corun_cache().stats  # zero; overwritten at the warmup mark
-    for episode in range(episodes):
-        if episode == warmup:
-            snapshot = corun_cache().stats
-        obs, info = env.reset()
-        done = False
-        while not done:
-            action = agent.act(obs, info["action_mask"])
-            obs, _, terminated, truncated, info = env.step(action)
-            done = terminated or truncated
-    tail = corun_cache().stats.delta(snapshot)
-
-    return {
-        "speedup": {
-            "episodes": episodes,
-            "timed_runs": timed_runs,
-            "off_times_s": off_times,
-            "on_times_s": on_times,
-            "episodes_per_sec_reference": episodes / best_off,
-            "episodes_per_sec_fastpath": episodes / best_on,
-            "speedup": best_off / best_on,
-            "corun_evals_per_sec_fastpath": evals / best_on,
-            "corun_cache": corun.to_dict(),
-            "decision_memo": decisions.to_dict(),
-            "identical_returns": identical,
-        },
-        "hit_rate": {
-            "episodes": episodes,
-            "measured_after_episode": warmup,
-            "policy": "greedy",
-            "corun_cache_tail": tail.to_dict(),
-        },
-    }
-
-
-def measure_serving_bench(
-    episodes: int = 20,
-    n_windows: int = 64,
-    distinct_windows: int = 8,
-    batch_size: int = 16,
-    timed_runs: int = 3,
-    seed: int = 7,
-    clock: Clock = perf_clock,
-) -> dict:
-    """A fresh serving benchmark document (``BENCH_serving.json`` schema).
-
-    Trains a small agent, then serves a stream of ``n_windows`` windows
-    drawn from ``distinct_windows`` distinct contents (fresh job
-    submissions in permuted order — the fleet-serving shape: many
-    nodes, few distinct workloads) through both paths: the per-window
-    reference loop (:meth:`~repro.core.optimizer.OnlineOptimizer.optimize`
-    per window, no decision cache) and the batched path
-    (:meth:`~repro.core.optimizer.OnlineOptimizer.optimize_many` in
-    chunks of ``batch_size`` with a
-    :class:`~repro.core.serving.DecisionCache`). Reports best-of
-    throughputs, the batched path's p50/p99 per-window decision
-    latency, decision-cache statistics, and whether every schedule came
-    out bitwise-identical across the two paths. Makes no threshold
-    assertion itself — the gate's tolerance band does the judging.
-    """
-    import numpy as np
-
-    from repro.core.optimizer import OnlineOptimizer
-    from repro.core.serving import DecisionCache, schedule_fingerprint
-    from repro.core.trainer import OfflineTrainer
-    from repro.workloads.generator import QueueGenerator
-    from repro.workloads.jobs import Job
-
-    if episodes <= 0 or timed_runs <= 0:
-        raise ReproError("episodes and timed_runs must be positive")
-    if min(n_windows, distinct_windows, batch_size) <= 0:
-        raise ReproError("serving bench sizes must be positive")
-
-    trainer = OfflineTrainer(
-        window_size=6,
-        c_max=3,
-        n_training_queues=4,
-        seed=seed,
-        dqn_overrides={
-            "hidden": (64, 32),
-            "warmup_transitions": 32,
-            "batch_size": 16,
-            "epsilon_decay_rate": 0.98,
-        },
-    )
-    result = trainer.train(episodes=episodes)
-    repository = result.repository
-
-    gen = QueueGenerator(seed=seed + 1, training_only=True)
-    pool = [
-        q.window(trainer.window_size)
-        for q in gen.training_queues(
-            n=distinct_windows, w=trainer.window_size
-        )
-    ]
-    rng = np.random.default_rng(seed)
-    stream: list[list[Job]] = []
-    for i in range(n_windows):
-        base = pool[i % distinct_windows]
-        stream.append([
-            Job.submit(base[j].benchmark_name)
-            for j in rng.permutation(len(base))
-        ])
-
-    def make_optimizer(cache):
-        return OnlineOptimizer(
-            result.agent,
-            repository,
-            trainer.catalog,
-            trainer.window_size,
-            reward_config=trainer.reward_config,
-            clock=clock,
-            decision_cache=cache,
-        )
-
-    opt_ref = make_optimizer(None)
-    cache = DecisionCache()
-    opt_fast = make_optimizer(cache)
-    chunks = [
-        stream[i:i + batch_size]
-        for i in range(0, n_windows, batch_size)
-    ]
-
-    # warm-up pass doubling as the identity check: the same stream
-    # through both paths, compared group by group, float by float
-    # (this pass exercises the cold-miss and intra-batch-duplicate
-    # serving branches; the timed passes below run cache-warm)
-    ref_decisions = [opt_ref.optimize(w) for w in stream]
-    fast_decisions = [
-        d for chunk in chunks for d in opt_fast.optimize_many(chunk)
-    ]
-    identical = all(
-        schedule_fingerprint(r.schedule) == schedule_fingerprint(f.schedule)
-        for r, f in zip(ref_decisions, fast_decisions)
-    )
-
-    ref_times: list[float] = []
-    fast_times: list[float] = []
-    latencies: list[float] = []
-    for _ in range(timed_runs):
-        t0 = clock()
-        for w in stream:
-            opt_ref.optimize(w)
-        ref_times.append(clock() - t0)
-        t0 = clock()
-        run_decisions = [
-            d for chunk in chunks for d in opt_fast.optimize_many(chunk)
-        ]
-        fast_times.append(clock() - t0)
-        latencies = [d.decision_seconds for d in run_decisions]
-
-    best_ref = max(min(ref_times), 1e-12)
-    best_fast = max(min(fast_times), 1e-12)
-    lat = np.asarray(latencies, dtype=np.float64)
-    return {
-        "serving": {
-            "n_windows": n_windows,
-            "distinct_windows": distinct_windows,
-            "batch_size": batch_size,
-            "timed_runs": timed_runs,
-            "reference_times_s": ref_times,
-            "batched_times_s": fast_times,
-            "decisions_per_sec_reference": n_windows / best_ref,
-            "decisions_per_sec_batched": n_windows / best_fast,
-            "speedup": best_ref / best_fast,
-            "p50_decision_latency_s": float(np.quantile(lat, 0.50)),
-            "p99_decision_latency_s": float(np.quantile(lat, 0.99)),
-            "decision_cache": cache.stats.to_dict(),
-            "identical_schedules": bool(identical),
-        },
-    }
-
-
-def measure_fleet_bench(
-    n_nodes: int = 1000,
-    n_jobs: int = 120_000,
-    warmup_jobs: int = 20_000,
-    pool_size: int = 6,
-    arrival_rate: float = 5000.0,
-    episodes: int = 20,
-    seed: int = 7,
-    clock: Clock = perf_clock,
-) -> dict:
-    """A fresh fleet benchmark document (``BENCH_fleet.json`` schema).
-
-    Trains a small agent, then drains an open-loop Poisson workload of
-    ``n_jobs`` arrivals over ``n_nodes`` GPUs through the
-    discrete-event :class:`~repro.cluster.fleet.FleetEngine` and
-    reports simulated job completions per wall-clock minute. A warm-up
-    drain first populates the decision cache (the fleet-serving
-    steady state: many nodes, few distinct workloads); the timed drain
-    then measures the engine itself rather than cold scheduling misses.
-
-    The document also carries the engine's bitwise-identity contract:
-    on a small cluster, the event engine's dispatch records and
-    schedule fingerprints must equal the pre-existing
-    :class:`~repro.cluster.scheduler.ClusterScheduler` loop's, window
-    for window. Makes no threshold assertion itself — the perf suite
-    asserts the 1M-completions/min floor and the gate's tolerance band
-    does the ratcheting.
-    """
-    from repro.cluster.fleet import FleetEngine
-    from repro.cluster.node import ClusterState
-    from repro.cluster.policy import (
-        CoSchedulingPolicy,
-        FcfsPolicy,
-        PolicySelector,
-    )
-    from repro.cluster.scheduler import ClusterScheduler
-    from repro.core.actions import ActionCatalog
-    from repro.core.evaluation import profile_all_benchmarks
-    from repro.core.optimizer import OnlineOptimizer
-    from repro.core.serving import DecisionCache, schedule_fingerprint
-    from repro.core.trainer import OfflineTrainer
-    from repro.workloads.arrivals import PoissonArrivals
-    from repro.workloads.generator import MixCategory, QueueGenerator
-    from repro.workloads.jobs import Job, JobQueue
-    from repro.workloads.suite import TRAINING_SET
-
-    if min(n_nodes, n_jobs, warmup_jobs, pool_size, episodes) <= 0:
-        raise ReproError("fleet bench sizes must be positive")
-    if arrival_rate <= 0:
-        raise ReproError("arrival rate must be positive")
-
-    trainer = OfflineTrainer(
-        window_size=6,
-        c_max=3,
-        n_training_queues=4,
-        seed=seed,
-        dqn_overrides={
-            "hidden": (64, 32),
-            "warmup_transitions": 32,
-            "batch_size": 16,
-            "epsilon_decay_rate": 0.98,
-        },
-    )
-    result = trainer.train(episodes=episodes)
-    repository = result.repository.copy()
-    profile_all_benchmarks(repository)
-
-    def make_selector() -> PolicySelector:
-        optimizer = OnlineOptimizer(
-            result.agent,
-            repository,
-            ActionCatalog(c_max=trainer.c_max),
-            trainer.window_size,
-            decision_cache=DecisionCache(),
-        )
-        return PolicySelector(
-            co_scheduling=CoSchedulingPolicy(optimizer),
-            fcfs=FcfsPolicy(),
-            crowding_threshold=1,
-        )
-
-    pool = sorted(TRAINING_SET)[:pool_size]
-    selector = make_selector()
-
-    def drain(jobs: int, arrival_seed: int):
-        engine = FleetEngine(
-            ClusterState.homogeneous(n_nodes),
-            selector,
-            window_size=trainer.window_size,
-        )
-        engine.attach_arrivals(PoissonArrivals(
-            rate=arrival_rate, pool=pool, n_jobs=jobs, seed=arrival_seed,
-        ))
-        t0 = clock()
-        fleet_result = engine.run()
-        return fleet_result, clock() - t0
-
-    drain(warmup_jobs, arrival_seed=seed + 1)  # decision-cache warm-up
-    fleet_result, wall = drain(n_jobs, arrival_seed=seed + 2)
-    wall = max(wall, 1e-12)
-
-    # small-cluster identity: the event engine vs the old dispatch loop
-    class _RecordingSelector:
-        def __init__(self, inner: PolicySelector):
-            self.inner = inner
-            self.fcfs = inner.fcfs
-            self.co_scheduling = inner.co_scheduling
-            self.schedules: list = []
-
-        def select(self, queue_depth: int, free_gpus: int):
-            return self.inner.select(queue_depth, free_gpus)
-
-        def schedule_batch(self, cuts):
-            out = self.inner.schedule_batch(cuts)
-            self.schedules.extend(s for s, _ in out)
-            return out
-
-    gen = QueueGenerator(seed=seed + 3, training_only=True)
-    names: list[str] = []
-    for _ in range(8):
-        names.extend(
-            gen.queue(MixCategory.BALANCED, w=trainer.window_size)
-            .benchmark_names
-        )
-    jobs = [Job.submit(name) for name in names]
-    recording = _RecordingSelector(make_selector())
-    oracle = ClusterScheduler(
-        cluster=ClusterState.homogeneous(3),
-        selector=recording,  # type: ignore[arg-type]
-        window_size=trainer.window_size,
-    )
-    oracle_records = oracle.run(JobQueue(jobs=list(jobs)))
-    engine = FleetEngine(
-        ClusterState.homogeneous(3),
-        make_selector(),
-        window_size=trainer.window_size,
-        keep_history=True,
-    )
-    for job in jobs:
-        engine.submit(job, at=0.0)
-    engine_result = engine.run()
-    identical = (
-        oracle_records == engine_result.history
-        and [schedule_fingerprint(s) for s in recording.schedules]
-        == [schedule_fingerprint(s) for s in engine_result.schedules]
-    )
-
-    return {
-        "fleet": {
-            "n_nodes": n_nodes,
-            "n_jobs": n_jobs,
-            "warmup_jobs": warmup_jobs,
-            "pool_size": pool_size,
-            "arrival_rate": arrival_rate,
-            "window_size": trainer.window_size,
-            "wall_seconds": wall,
-            "completions_per_min": fleet_result.stats.completed / wall * 60.0,
-            "completed": fleet_result.stats.completed,
-            "windows": fleet_result.stats.windows,
-            "simulated_makespan": fleet_result.makespan,
-            "utilization": fleet_result.utilization,
-            "mean_wait": fleet_result.stats.mean_wait,
-            "identical_schedules": bool(identical),
-        },
-    }
 
 
 #: telemetry-on throughput must stay at least this fraction of
@@ -905,7 +309,6 @@ def compare_overhead_bench(
             baseline=budget,
             candidate=ratio,
             ratio=ratio / budget,
-            tolerance=0.0,
             regressed=ratio < budget,
         ),
         GateCheck(
@@ -913,243 +316,15 @@ def compare_overhead_bench(
             baseline=1.0,
             candidate=float(identical),
             ratio=1.0 if identical else 0.0,
-            tolerance=0.0,
             regressed=not identical,
         ),
     ]
 
 
-#: bench pool for the hierarchy gate: two long CI programs, two MI,
-#: two short US — maximal spread in both pair affinity and solo time,
-#: the two signals the placement level can exploit and the class-blind
-#: baselines cannot
+#: job pool of the two-level placement runs: two long CI programs, two
+#: MI, two short US — maximal spread in both pair affinity and solo
+#: time, the two signals the placement level can exploit and the
+#: class-blind baselines cannot
 HIERARCHY_BENCH_POOL = (
     "hotspot3D", "lavaMD", "lud_A", "stream", "kmeans", "pathfinder",
 )
-
-
-def measure_hierarchy_bench(
-    n_nodes: int = 100,
-    eval_jobs: int = 2000,
-    arrival_rate: float = 40.0,
-    node_episodes: int = 12,
-    placement_episodes: int = 10,
-    jobs_per_episode: int = 300,
-    seed: int = 7,
-    clock: Clock = perf_clock,
-) -> dict:
-    """A fresh hierarchy benchmark document (``BENCH_hierarchy.json``).
-
-    Trains the two-level policy with :class:`JointTrainer` (node-level
-    DDQN offline, then placement DQN on fleet rollouts with prioritized
-    replay), then drains one held-out Poisson stream at ``n_nodes``
-    under every placement policy — the trained agent and the
-    ``least-loaded`` / ``round-robin`` / ``random`` baselines, all over
-    the *same* node-level selector, so the comparison isolates the
-    placement level. The simulation is deterministic end to end: the
-    makespan/fairness ratios reproduce bit-for-bit given the seeds, and
-    only ``placements_per_sec`` is wall-clock.
-
-    The document also carries the flag-off identity contract: a
-    placement-free engine over the same trained node level must stay
-    bitwise-identical to the :class:`ClusterScheduler` oracle (dispatch
-    records and schedule fingerprints), proving the hierarchical wiring
-    is a no-op when off. Makes no threshold assertion itself — the perf
-    suite asserts the beats-baseline floor and the gate's tolerance
-    band does the ratcheting.
-    """
-    from repro.cluster.fleet import FleetEngine
-    from repro.cluster.node import ClusterState
-    from repro.cluster.scheduler import ClusterScheduler
-    from repro.core.serving import schedule_fingerprint
-    from repro.hierarchy import (
-        JointTrainer,
-        LeastLoadedPlacement,
-        RandomPlacement,
-        RoundRobinPlacement,
-        evaluate_placement,
-    )
-    from repro.power.model import PowerModel
-    from repro.workloads.arrivals import PoissonArrivals
-    from repro.workloads.generator import MixCategory, QueueGenerator
-    from repro.workloads.jobs import Job, JobQueue
-
-    if min(n_nodes, eval_jobs, node_episodes, placement_episodes) <= 0:
-        raise ReproError("hierarchy bench sizes must be positive")
-    if arrival_rate <= 0:
-        raise ReproError("arrival rate must be positive")
-
-    pool = list(HIERARCHY_BENCH_POOL)
-    trainer = JointTrainer(
-        n_nodes=n_nodes,
-        window_size=6,
-        c_max=3,
-        seed=seed,
-        jobs_per_episode=jobs_per_episode,
-        arrival_rate=arrival_rate,
-        pool=pool,
-        node_episodes=node_episodes,
-        prioritized=True,
-        wait_weight=1.0,
-        affinity_weight=0.5,
-        terminal_weight=2.0,
-        placement_overrides={
-            "hidden": (64, 32),
-            "candidate_k": 12,
-            "gamma": 0.5,
-            "warmup_transitions": 64,
-            "batch_size": 32,
-            "epsilon_decay_rate": 0.995,
-        },
-    )
-    t0 = clock()
-    joint = trainer.train(episodes=placement_episodes)
-    train_wall = clock() - t0
-
-    def arrivals():
-        # held-out stream: a seed no training episode uses
-        return PoissonArrivals(
-            rate=arrival_rate, pool=pool, n_jobs=eval_jobs, seed=seed + 17
-        )
-
-    power = PowerModel()
-    policies = [
-        joint.placement,
-        LeastLoadedPlacement(),
-        RoundRobinPlacement(),
-        RandomPlacement(seed),
-    ]
-    per_policy: dict[str, dict] = {}
-    agent_wall = 1e-12
-    for policy in policies:
-        t0 = clock()
-        fr = evaluate_placement(
-            policy,
-            trainer.selector,
-            n_nodes,
-            arrivals(),
-            window_size=trainer.window_size,
-            power_model=power,
-        )
-        wall = max(clock() - t0, 1e-12)
-        if policy.name == "agent":
-            agent_wall = wall
-        per_policy[policy.name] = {
-            "makespan": fr.makespan,
-            "fairness_jain": fr.fairness_jain,
-            "mean_wait": fr.stats.mean_wait,
-            "mean_turnaround": fr.stats.mean_turnaround,
-            "utilization": fr.utilization,
-            "completed": fr.stats.completed,
-            "energy_joules": fr.energy_joules,
-            "joules_per_job": fr.joules_per_job,
-            "perf_per_watt": fr.perf_per_watt,
-            "wall_seconds": wall,
-        }
-    agent = per_policy["agent"]
-    least_loaded = per_policy["least-loaded"]
-    baselines = {k: v for k, v in per_policy.items() if k != "agent"}
-    best_name = min(baselines, key=lambda k: baselines[k]["makespan"])
-    best = baselines[best_name]
-
-    # flag-off identity: a placement-free engine over the same trained
-    # node level vs the ClusterScheduler oracle, bitwise
-    def make_selector():
-        from repro.cluster.policy import (
-            CoSchedulingPolicy,
-            FcfsPolicy,
-            PolicySelector,
-        )
-        from repro.core.actions import ActionCatalog
-        from repro.core.optimizer import OnlineOptimizer
-        from repro.core.serving import DecisionCache
-
-        optimizer = OnlineOptimizer(
-            joint.node.agent,
-            trainer.repository,
-            ActionCatalog(c_max=trainer.c_max),
-            trainer.window_size,
-            decision_cache=DecisionCache(),
-        )
-        return PolicySelector(
-            co_scheduling=CoSchedulingPolicy(optimizer),
-            fcfs=FcfsPolicy(),
-            crowding_threshold=1,
-        )
-
-    class _RecordingSelector:
-        def __init__(self, inner):
-            self.inner = inner
-            self.fcfs = inner.fcfs
-            self.co_scheduling = inner.co_scheduling
-            self.schedules: list = []
-
-        def select(self, queue_depth: int, free_gpus: int):
-            return self.inner.select(queue_depth, free_gpus)
-
-        def schedule_batch(self, cuts):
-            out = self.inner.schedule_batch(cuts)
-            self.schedules.extend(s for s, _ in out)
-            return out
-
-    gen = QueueGenerator(seed=seed + 3, training_only=True)
-    names: list[str] = []
-    for _ in range(8):
-        names.extend(
-            gen.queue(MixCategory.BALANCED, w=trainer.window_size)
-            .benchmark_names
-        )
-    jobs = [Job.submit(name) for name in names]
-    recording = _RecordingSelector(make_selector())
-    oracle = ClusterScheduler(
-        cluster=ClusterState.homogeneous(3),
-        selector=recording,  # type: ignore[arg-type]
-        window_size=trainer.window_size,
-    )
-    oracle_records = oracle.run(JobQueue(jobs=list(jobs)))
-    engine = FleetEngine(
-        ClusterState.homogeneous(3),
-        make_selector(),
-        window_size=trainer.window_size,
-        keep_history=True,
-    )
-    for job in jobs:
-        engine.submit(job, at=0.0)
-    engine_result = engine.run()
-    off_flag_identical = (
-        oracle_records == engine_result.history
-        and [schedule_fingerprint(s) for s in recording.schedules]
-        == [schedule_fingerprint(s) for s in engine_result.schedules]
-    )
-
-    return {
-        "hierarchy": {
-            "n_nodes": n_nodes,
-            "eval_jobs": eval_jobs,
-            "arrival_rate": arrival_rate,
-            "window_size": trainer.window_size,
-            "pool": pool,
-            "node_episodes": node_episodes,
-            "placement_episodes": placement_episodes,
-            "jobs_per_episode": jobs_per_episode,
-            "train_wall_seconds": train_wall,
-            "policies": per_policy,
-            "best_baseline": best_name,
-            "makespan_improvement": (
-                least_loaded["makespan"] / agent["makespan"]
-            ),
-            "makespan_improvement_vs_best": (
-                best["makespan"] / agent["makespan"]
-            ),
-            "fairness_ratio": (
-                agent["fairness_jain"] / least_loaded["fairness_jain"]
-            ),
-            "placements_per_sec": eval_jobs / agent_wall,
-            "beats_baseline": bool(agent["makespan"] < best["makespan"]),
-            "fairness_no_worse": bool(
-                agent["fairness_jain"]
-                >= least_loaded["fairness_jain"] - 0.01
-            ),
-            "off_flag_identical": bool(off_flag_identical),
-        },
-    }

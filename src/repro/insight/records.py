@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.gpu.partition import format_partition
+from repro.obs.jsonl import iter_jsonl_objects
 
 __all__ = [
     "AlternativeAction",
@@ -451,17 +452,15 @@ def write_decision_log(recorder: DecisionRecorder, path) -> int:
 def read_decision_log(
     path,
 ) -> tuple[list[DecisionRecord], list[WindowRecord]]:
-    """Load a decision log written by :func:`write_decision_log`."""
-    import json
+    """Load a decision log written by :func:`write_decision_log`.
 
+    A line that is not a JSON object, or carries an unknown record
+    type, raises :class:`ReproError` naming ``path:line``.
+    """
     decisions: list[DecisionRecord] = []
     windows: list[WindowRecord] = []
     with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
+        for line_no, d in iter_jsonl_objects(fh, path):
             kind = d.get("type")
             if kind == "decision":
                 decisions.append(DecisionRecord.from_dict(d))

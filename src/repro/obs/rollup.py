@@ -7,13 +7,15 @@ queue-wait p95/p99 from the always-on sketch, decisions/sec, energy)
 and this module gives them a byte-stable JSONL form — the ``frames``
 artifact that ``repro-gpu top``, the dashboard, and the burn-rate SLO
 monitor all consume. Readers zero-fill: a missing or empty artifact is
-an empty series, never an exception.
+an empty series; a malformed line raises :class:`~repro.errors.ReproError`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+
+from repro.obs.jsonl import iter_jsonl_objects
 
 __all__ = [
     "write_frames_jsonl",
@@ -37,17 +39,12 @@ def write_frames_jsonl(snapshots, path: str) -> int:
 
 
 def read_frames_jsonl(path: str) -> list[dict]:
-    """Load frames; missing file / blank lines zero-fill to ``[]``."""
+    """Load frames; missing file / blank lines zero-fill to ``[]``, a
+    line that is not a JSON object raises ``ReproError``."""
     if not os.path.exists(path):
         return []
-    frames = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            frames.append(json.loads(line))
-    return frames
+        return [frame for _, frame in iter_jsonl_objects(handle, path)]
 
 
 def frames_series(frames: list[dict], key: str, default: float = 0.0) -> list[float]:

@@ -43,6 +43,7 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.obs.jsonl import iter_jsonl_objects
 
 __all__ = [
     "TraceContext",
@@ -279,17 +280,12 @@ class LifecycleTracer:
 # ----------------------------------------------------------------------
 def read_lifecycle_jsonl(path: str) -> list[dict]:
     """Load lifecycle records; missing file or blank lines -> zero-fill
-    (an empty list), never an exception for an absent artifact."""
+    (an empty list), never an exception for an absent artifact. A line
+    that is not a JSON object raises ``ReproError``."""
     if not os.path.exists(path):
         return []
-    records = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            records.append(json.loads(line))
-    return records
+        return [record for _, record in iter_jsonl_objects(handle, path)]
 
 
 def summarize_lifecycle(records: list[dict]) -> dict:

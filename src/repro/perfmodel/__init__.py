@@ -35,7 +35,6 @@ from repro.perfmodel.cache import (
     corun_caching_enabled,
     corun_signature,
     reset_corun_cache,
-    set_corun_caching,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "corun_caching_enabled",
     "corun_signature",
     "reset_corun_cache",
-    "set_corun_caching",
 ]

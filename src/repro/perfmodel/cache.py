@@ -16,13 +16,13 @@ of the inputs rather than object identity:
   nested (GI, CI, share) fraction structure.
 
 The cache counts hits / misses / evictions so callers (the trainer, the
-perf benchmarks) can report hit rates; a process-wide default instance
-backs :func:`cached_simulate_corun`, which is what the scheduling layers
-(:class:`~repro.core.problem.ScheduledGroup`,
-:class:`~repro.gpu.device.SimulatedGpu`, the predictive baselines) call.
-``REPRO_CORUN_CACHE=0`` disables memoization globally;
-:func:`corun_cache_disabled` does so for a scope (used by the A/B perf
-benchmark and the determinism tests).
+benchmark in ``bench/``) can report hit rates; a process-wide default
+instance backs :func:`cached_simulate_corun`, which is what the
+scheduling layers (:class:`~repro.core.problem.ScheduledGroup`,
+:class:`~repro.gpu.device.SimulatedGpu`, the predictive baselines)
+call. :func:`corun_cache_disabled` turns memoization off for a scope,
+which selects the reference path the fast-path identity tests compare
+against.
 
 The class is deliberately generic — any deterministic computation with
 a hashable key can ride on it (``get_or_compute``); the predictive
@@ -33,7 +33,6 @@ slot-shape) intermediate rewards.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -53,7 +52,6 @@ __all__ = [
     "corun_cache",
     "cached_simulate_corun",
     "corun_caching_enabled",
-    "set_corun_caching",
     "corun_cache_disabled",
     "reset_corun_cache",
 ]
@@ -62,7 +60,7 @@ __all__ = [
 #: training set is ~20 windows x a few hundred distinct (group,
 #: partition) pairs each, far below this; the bound exists so online
 #: workloads with unbounded job diversity cannot grow memory forever.
-DEFAULT_CORUN_CACHE_SIZE = int(os.environ.get("REPRO_CORUN_CACHE_SIZE", 65536))
+DEFAULT_CORUN_CACHE_SIZE = 65536
 
 
 @dataclass(frozen=True)
@@ -278,7 +276,7 @@ def corun_signature(models: list[KernelModel], tree: PartitionTree) -> tuple:
 # ---------------------------------------------------------------------------
 
 _DEFAULT_CACHE = CoRunCache(DEFAULT_CORUN_CACHE_SIZE)
-_ENABLED = os.environ.get("REPRO_CORUN_CACHE", "1") not in ("0", "false", "off")
+_ENABLED = True
 
 
 def corun_cache() -> CoRunCache:
@@ -290,12 +288,6 @@ def corun_caching_enabled() -> bool:
     """Whether the memoized fast path is active (also consulted by the
     environment's decision memo, so one switch governs every layer)."""
     return _ENABLED
-
-
-def set_corun_caching(enabled: bool) -> None:
-    """Globally enable/disable the memoized fast path."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
 
 
 @contextmanager

@@ -9,14 +9,13 @@ The acceptance contract of PR 4:
   same-seed runs;
 * the anomaly detectors fire under fault injection and stay silent on
   a clean run;
-* the bench gate passes against the committed baseline and fails on a
-  synthetic 20% throughput regression.
+* the telemetry-overhead gate passes a ratio at its budget and fails a
+  ratio 20% under it, or any run whose observed statistics diverge.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,10 +32,10 @@ from repro.insight import (
     AlertEngine,
     DecisionRecorder,
     RegretAnalyzer,
-    compare_bench,
+    compare_overhead_bench,
+    format_checks,
     gate_passes,
-    load_bench,
-    measure_training_bench,
+    measure_overhead_bench,
     read_decision_log,
     worst_decisions,
     write_decision_log,
@@ -48,9 +47,6 @@ from repro.workloads.jobs import Job
 from repro.workloads.suite import TRAINING_SET
 
 pytestmark = pytest.mark.insight
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-BASELINE = REPO_ROOT / "BENCH_training.json"
 
 _OVERRIDES = {
     "hidden": (32, 32),
@@ -164,6 +160,18 @@ class TestRecorder:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type": "mystery"}\n')
         with pytest.raises(ReproError):
+            read_decision_log(path)
+
+    def test_read_rejects_malformed_lines(self, recorded_training, tmp_path):
+        recorder, _ = recorded_training
+        path = tmp_path / "decisions.jsonl"
+        n = write_decision_log(recorder, path)
+        with open(path, "a") as fh:
+            fh.write('{"type": "deci')  # a write cut short
+        with pytest.raises(ReproError, match=rf"decisions\.jsonl:{n + 1}: invalid JSON"):
+            read_decision_log(path)
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ReproError, match=r"decisions\.jsonl:1: expected a JSON object"):
             read_decision_log(path)
 
     def test_vectorized_training_rejects_recorder(self):
@@ -331,63 +339,83 @@ class TestAlerts:
 
 
 # ----------------------------------------------------------------------
-# bench-regression gate
+# benchgate: the telemetry-overhead gate and its CLI
 # ----------------------------------------------------------------------
+def _overhead_doc(ratio: float, identical: bool = True) -> dict:
+    return {"overhead": {"throughput_ratio": ratio, "identical_stats": identical}}
+
+
 class TestBenchGate:
     def test_baseline_passes_against_itself(self):
-        doc = load_bench(BASELINE)
-        checks = compare_bench(doc, doc)
+        # a ratio exactly at the budget (the checks' baseline) passes
+        checks = compare_overhead_bench(_overhead_doc(0.85), budget=0.85)
         assert gate_passes(checks)
-        assert all(not c.regressed for c in checks)
+        assert checks[0].baseline == 0.85
+        assert checks[0].ratio == pytest.approx(1.0)
 
     def test_twenty_percent_drop_fails(self):
-        doc = load_bench(BASELINE)
-        worse = json.loads(json.dumps(doc))
-        worse["speedup"]["episodes_per_sec_fastpath"] *= 0.8
-        checks = compare_bench(doc, worse)
+        checks = compare_overhead_bench(_overhead_doc(0.85 * 0.8), budget=0.85)
         assert not gate_passes(checks)
         bad = [c for c in checks if c.regressed]
-        assert [c.key for c in bad] == ["speedup.episodes_per_sec_fastpath"]
+        assert [c.key for c in bad] == ["overhead.throughput_ratio"]
+        table = format_checks(checks).splitlines()
+        assert table[1].startswith("overhead.throughput_ratio")
+        assert table[1].endswith("REGRESSED")
+        assert table[2].endswith("ok")
 
     def test_loose_tolerance_forgives_the_drop(self):
-        doc = load_bench(BASELINE)
-        worse = json.loads(json.dumps(doc))
-        worse["speedup"]["episodes_per_sec_fastpath"] *= 0.8
-        assert gate_passes(compare_bench(doc, worse, tolerance=0.25))
+        # 0.8 fails the default budget but passes the looser one CI uses
+        doc = _overhead_doc(0.8)
+        assert not gate_passes(compare_overhead_bench(doc))
+        assert gate_passes(compare_overhead_bench(doc, budget=0.75))
 
     def test_identity_break_fails_at_any_tolerance(self):
-        doc = load_bench(BASELINE)
-        worse = json.loads(json.dumps(doc))
-        worse["speedup"]["identical_returns"] = False
-        checks = compare_bench(doc, worse, tolerance=10.0)
-        assert not gate_passes(checks)
+        doc = _overhead_doc(10.0, identical=False)
+        for budget in (0.01, 0.5, 1.0):
+            checks = compare_overhead_bench(doc, budget=budget)
+            bad = [c.key for c in checks if c.regressed]
+            assert bad == ["overhead.identical_stats"]
 
     def test_missing_key_raises(self):
         with pytest.raises(ReproError):
-            compare_bench({}, load_bench(BASELINE))
+            compare_overhead_bench({})
+        with pytest.raises(ReproError):
+            compare_overhead_bench({"overhead": {"throughput_ratio": 0.9}})
 
     def test_measured_candidate_has_baseline_schema(self):
-        doc = measure_training_bench(episodes=6, timed_runs=1)
-        baseline = load_bench(BASELINE)
-        assert set(doc) == set(baseline)
-        assert set(doc["speedup"]) == set(baseline["speedup"])
-        assert doc["speedup"]["identical_returns"] is True
-        # a fresh measurement gates against itself cleanly
-        assert gate_passes(compare_bench(doc, doc))
+        doc = measure_overhead_bench(
+            n_nodes=8, n_jobs=120, warmup_jobs=40, episodes=2, timed_runs=1
+        )
+        assert doc["overhead"]["identical_stats"] is True
+        assert doc["overhead"]["throughput_ratio"] > 0.0
+        assert doc["overhead"]["n_jobs"] == 120
+        # the measured document carries every key the gate reads
+        assert gate_passes(compare_overhead_bench(doc, budget=1e-6))
 
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        base = str(BASELINE)
-        assert main(["benchgate", "--baseline", base,
-                     "--candidate", base]) == 0
-        worse = json.loads(BASELINE.read_text())
-        worse["speedup"]["episodes_per_sec_fastpath"] *= 0.8
-        worse_path = tmp_path / "worse.json"
-        worse_path.write_text(json.dumps(worse))
-        assert main(["benchgate", "--baseline", base,
-                     "--candidate", str(worse_path)]) == 1
-        assert main(["benchgate", "--baseline", base]) == 2
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out and "PASS" in out
+    def test_cli_exit_codes(self, tmp_path, capsys, monkeypatch):
+        from repro.insight import benchgate
+
+        docs = iter([_overhead_doc(0.9), _overhead_doc(0.5)])
+        sizes = []
+
+        def fake_measure(n_jobs, timed_runs):
+            sizes.append((n_jobs, timed_runs))
+            return next(docs)
+
+        monkeypatch.setattr(benchgate, "measure_overhead_bench", fake_measure)
+        out_path = tmp_path / "overhead.json"
+        assert main(["benchgate", "--overhead-jobs", "300",
+                     "--overhead-runs", "2",
+                     "--overhead-out", str(out_path)]) == 0
+        assert json.loads(out_path.read_text()) == _overhead_doc(0.9)
+        assert main(["benchgate"]) == 1
+        assert sizes == [(300, 2), (3000, 5)]
+        monkeypatch.undo()
+        # invalid sizes fail before any measuring starts
+        assert main(["benchgate", "--overhead-jobs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "REGRESSED" in captured.out and "PASS" in captured.out
+        assert "benchgate: error:" in captured.err
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.clock import CountingClock
 from repro.cluster.fleet import BoundedQueue, FleetEngine
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import CoSchedulingPolicy, FcfsPolicy, PolicySelector
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.faults import FaultConfig, FaultInjector
 from repro.hierarchy import (
     LeastLoadedPlacement,
@@ -374,6 +374,19 @@ class TestLifecycleTracer:
         assert summary["outcomes"]["completed"] == tracer.outcomes["completed"]
         assert summary["max_wait"] >= summary["mean_wait"] >= 0.0
 
+    def test_reader_rejects_malformed_lines(self, tmp_path):
+        path = tmp_path / "lifecycle.jsonl"
+        with LifecycleTracer(seed=3, path=str(path)) as tracer:
+            faulty_engine(lifecycle=tracer).run()
+        n = len(read_lifecycle_jsonl(str(path)))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"job_id": 9')  # a write cut short
+        with pytest.raises(ReproError, match=rf"lifecycle\.jsonl:{n + 1}: invalid JSON"):
+            read_lifecycle_jsonl(str(path))
+        path.write_text('"completed"\n')
+        with pytest.raises(ReproError, match=r"lifecycle\.jsonl:1: expected a JSON object"):
+            read_lifecycle_jsonl(str(path))
+
 
 class TestChromeConversion:
     def test_empty_records_make_a_valid_empty_trace(self):
@@ -493,6 +506,17 @@ class TestRollupFrames:
         assert frames_series(frames, "pending") == [0.0, 3.0]
         assert frames_series(frames, "absent", default=-1.0) == [-1.0, -1.0]
         assert read_frames_jsonl(str(tmp_path / "missing.jsonl")) == []
+
+    def test_malformed_lines_raise_typed_errors(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        write_frames_jsonl([{"time": 1.0}], str(path))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"time": 2.')  # a write cut short
+        with pytest.raises(ReproError, match=r"frames\.jsonl:2: invalid JSON"):
+            read_frames_jsonl(str(path))
+        path.write_text('{"time": 1.0}\n[1, 2]\n')
+        with pytest.raises(ReproError, match=r"frames\.jsonl:2: expected a JSON object"):
+            read_frames_jsonl(str(path))
 
 
 # ----------------------------------------------------------------------
@@ -758,10 +782,16 @@ class TestCli:
         assert args.dir == "out"
         assert args.slo == pytest.approx(7200.0)
         assert not args.fail_on_burn
-        args = build_parser().parse_args(
-            ["benchgate", "--overhead", "--overhead-budget", "0.8"]
-        )
-        assert args.overhead and args.overhead_budget == pytest.approx(0.8)
+        args = build_parser().parse_args(["benchgate", "--overhead-budget", "0.8"])
+        assert args.overhead_budget == pytest.approx(0.8)
+
+    def test_top_on_a_truncated_frames_file_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        (tmp_path / "frames.jsonl").write_text('{"time": 1.0}\n{"time": 2.')
+        assert main(["top", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "frames.jsonl:2: invalid JSON" in err
 
     def test_top_on_an_empty_directory(self, tmp_path, capsys):
         from repro.cli import main

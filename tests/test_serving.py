@@ -35,7 +35,6 @@ from repro.core.serving import (
     window_signature,
 )
 from repro.gpu.device import SimulatedGpu
-from repro.insight import benchgate as bg
 from repro.perfmodel.cache import CoRunCache
 from repro.profiling.profiler import NsightProfiler
 from repro.rl.dqn import DQNConfig, DuelingDoubleDQNAgent
@@ -456,46 +455,3 @@ class TestClusterBatchedDispatch:
         acct = bs.sacct()
         assert acct["completed"] == len(submitted)
         assert acct["failed"] == 0
-
-
-class TestServingGate:
-    BASE = {
-        "serving": {
-            "decisions_per_sec_batched": 1000.0,
-            "speedup": 20.0,
-            "p99_decision_latency_s": 5e-4,
-            "identical_schedules": True,
-        }
-    }
-
-    @staticmethod
-    def _variant(**overrides):
-        doc = {"serving": dict(TestServingGate.BASE["serving"])}
-        doc["serving"].update(overrides)
-        return doc
-
-    def test_passes_on_equal_docs(self):
-        checks = bg.compare_serving_bench(self.BASE, self.BASE)
-        assert bg.gate_passes(checks)
-
-    def test_latency_is_lower_is_better(self):
-        slower = self._variant(p99_decision_latency_s=5e-3)
-        assert not bg.gate_passes(
-            bg.compare_serving_bench(self.BASE, slower, tolerance=0.5)
-        )
-        faster = self._variant(p99_decision_latency_s=5e-5)
-        assert bg.gate_passes(
-            bg.compare_serving_bench(self.BASE, faster, tolerance=0.5)
-        )
-
-    def test_throughput_drop_regresses(self):
-        worse = self._variant(decisions_per_sec_batched=100.0, speedup=2.0)
-        assert not bg.gate_passes(
-            bg.compare_serving_bench(self.BASE, worse, tolerance=0.5)
-        )
-
-    def test_identity_loss_regresses(self):
-        broken = self._variant(identical_schedules=False)
-        assert not bg.gate_passes(
-            bg.compare_serving_bench(self.BASE, broken, tolerance=0.5)
-        )

@@ -6,10 +6,7 @@ Reproduces the observational study that motivates the paper:
 * all 19 MIG configurations the A100 driver permits,
 * a Fig. 3-style MPS sweep for chosen program pairs,
 * the Fig. 4 shared-vs-private memory comparison,
-* the Fig. 5 four-option shoot-out on a 4-program mix,
-
-and cross-checks the analytic suite against the runnable NumPy
-reference kernels (arithmetic intensity sanity check).
+* the Fig. 5 four-option shoot-out on a 4-program mix.
 
 Run:  python examples/partition_explorer.py
 """
@@ -26,8 +23,6 @@ from repro.perfmodel.calibration import (
     mps_sweep,
     partition_option_comparison,
 )
-from repro.workloads.reference import REFERENCE_KERNELS, run_reference
-from repro.workloads.suite import benchmark
 
 
 def main() -> None:
@@ -64,19 +59,6 @@ def main() -> None:
     for option, gain in partition_option_comparison(list(FIG5_MIX)).items():
         bar = "#" * int(gain * 20)
         print(f"  {option:<28s} {gain:5.3f} {bar}")
-
-    # ------------------------------------------------------------------
-    print("\n=== reference kernels vs analytic models ===")
-    print(f"{'program':<14s} {'AI[flop/B]':>11s} {'model class hint':<20s}")
-    for name in sorted(REFERENCE_KERNELS):
-        stats = run_reference(name)
-        model = benchmark(name)
-        hint = (
-            "compute-leaning"
-            if model.t_compute > model.t_memory
-            else "memory-leaning"
-        )
-        print(f"{name:<14s} {stats.arithmetic_intensity:11.3f} {hint:<20s}")
 
 
 if __name__ == "__main__":

@@ -38,6 +38,9 @@ Subcommands cover the pipeline stages:
 ``alerts``/``fleet``) attaches the decision flight recorder and writes
 ``decisions.jsonl`` plus the regret analysis (``regret.jsonl``,
 ``worst_decisions.txt``) to the directory.
+
+A ``repro.errors`` exception raised by any subcommand is reported as
+one ``<command>: error: <message>`` line on stderr with exit code 2.
 """
 
 from __future__ import annotations
@@ -789,11 +792,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from repro.insight import BurnRateConfig, scan_burn_rate
     from repro.obs import load_run, render_top
 
-    try:
-        run = load_run(args.dir)
-    except ReproError as exc:
-        print(f"top: error: {exc}", file=sys.stderr)
-        return 2
+    run = load_run(args.dir)
     alerts = scan_burn_rate(
         run["frames"], BurnRateConfig(slo_wait_seconds=args.slo)
     )
@@ -807,14 +806,10 @@ def _cmd_benchgate(args: argparse.Namespace) -> int:
     from repro.insight import benchgate as bg
 
     print("measuring telemetry overhead (off vs telemetry vs full) ...")
-    try:
-        doc = bg.measure_overhead_bench(
-            n_jobs=args.overhead_jobs, timed_runs=args.overhead_runs
-        )
-        checks = bg.compare_overhead_bench(doc, budget=args.overhead_budget)
-    except ReproError as exc:
-        print(f"benchgate: error: {exc}", file=sys.stderr)
-        return 2
+    doc = bg.measure_overhead_bench(
+        n_jobs=args.overhead_jobs, timed_runs=args.overhead_runs
+    )
+    checks = bg.compare_overhead_bench(doc, budget=args.overhead_budget)
     if args.overhead_out:
         with open(args.overhead_out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
@@ -829,56 +824,24 @@ def _cmd_benchgate(args: argparse.Namespace) -> int:
 
 
 def _cmd_statcheck(args: argparse.Namespace) -> int:
-    from repro.statcheck import (
-        StatcheckError,
-        apply_fixes,
-        check_paths,
-        load_config,
-        update_baseline,
-    )
-    from repro.statcheck.sarif import to_sarif
+    from repro.statcheck import check_paths, load_config, update_baseline
 
-    fmt = "json" if args.json else args.format
-    try:
-        config = load_config(args.root)
-        if args.clear_cache:
-            cache_path = config.cache_path
-            if cache_path is not None and cache_path.is_file():
-                cache_path.unlink()
-                print(f"removed {cache_path}", file=sys.stderr)
-            return 0
-        if args.fix:
-            changed = apply_fixes(paths=args.paths or None, config=config)
-            for rel, applied in changed:
-                codes = ", ".join(sorted({rule for rule, _ in applied}))
-                print(
-                    f"fixed {rel}: {len(applied)} edit(s) ({codes})",
-                    file=sys.stderr,
-                )
-            if not changed:
-                print("nothing to fix", file=sys.stderr)
-        report = check_paths(
-            paths=args.paths or None,
-            config=config,
-            use_baseline=not args.no_baseline,
-            use_cache=not args.no_cache,
+    config = load_config(args.root)
+    report = check_paths(
+        paths=args.paths or None,
+        config=config,
+        use_baseline=not args.no_baseline,
+    )
+    if args.write_baseline:
+        path = update_baseline(report, config)
+        print(
+            f"wrote {len(report.new) + len(report.grandfathered)} "
+            f"finding(s) to {path}",
+            file=sys.stderr,
         )
-        if args.write_baseline:
-            path = update_baseline(report, config)
-            print(
-                f"wrote {len(report.new) + len(report.grandfathered)} "
-                f"finding(s) to {path}",
-                file=sys.stderr,
-            )
-            return 0
-    except StatcheckError as exc:
-        print(f"statcheck: error: {exc}", file=sys.stderr)
-        return 2
-    if fmt == "json":
+        return 0
+    if args.json:
         json.dump(report.to_dict(), sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
-    elif fmt == "sarif":
-        json.dump(to_sarif(report), sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")
     else:
         print(report.render(verbose=args.verbose))
@@ -1116,21 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="files/directories to check "
                         "(default: [tool.statcheck] paths)")
     p.add_argument("--json", action="store_true",
-                   help="emit the machine-readable report on stdout "
-                        "(alias for --format json)")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
-                   default="text",
-                   help="report format; sarif emits a SARIF 2.1.0 log "
-                        "for code-scanning upload (default: text)")
-    p.add_argument("--fix", action="store_true",
-                   help="rewrite mechanically fixable findings in place "
-                        "(DET004 epsilon comparisons, HYG001 mutable "
-                        "defaults) before reporting; idempotent")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and do not write the incremental cache "
-                        "(.statcheck-cache.json)")
-    p.add_argument("--clear-cache", action="store_true",
-                   help="delete the incremental cache and exit")
+                   help="emit the machine-readable report on stdout")
     p.add_argument("--root", metavar="DIR",
                    help="repo root holding pyproject.toml "
                         "(default: discovered from cwd)")
@@ -1148,7 +1097,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        # a domain error (bad size, unreadable artifact, bad config) is
+        # the caller's input, not a crash: one line, argparse's exit code
+        print(f"{args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

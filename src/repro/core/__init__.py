@@ -5,8 +5,9 @@ Pipeline (paper Fig. 7):
 1. **Offline profiling** — :mod:`repro.profiling` fills a
    :class:`~repro.profiling.repository.ProfileRepository`.
 2. **Offline training** — :class:`~repro.core.trainer.OfflineTrainer`
-   trains the dueling double DQN on random job queues against the
-   simulated device, using the Table VI rewards.
+   trains the dueling double DQN on random job queues against one
+   :class:`~repro.core.env.CoSchedulingEnv` over the simulated device,
+   using the Table VI rewards.
 3. **Online optimization** — :class:`~repro.core.optimizer.OnlineOptimizer`
    applies the frozen agent to a queue, emitting the co-scheduling
    groups ``L_JS`` and partitions ``L_R`` of the Section IV-A problem.
@@ -22,7 +23,6 @@ from repro.core.actions import ActionCatalog
 from repro.core.assignment import assign_optimal, assign_greedy, assign_exhaustive
 from repro.core.problem import ScheduledGroup, Schedule, SchedulingProblem
 from repro.core.env import CoSchedulingEnv
-from repro.core.vector_env import VectorCoSchedulingEnv
 from repro.core.trainer import OfflineTrainer, TrainingResult
 from repro.core.optimizer import OnlineOptimizer
 from repro.core.baselines import (
@@ -47,7 +47,6 @@ __all__ = [
     "Schedule",
     "SchedulingProblem",
     "CoSchedulingEnv",
-    "VectorCoSchedulingEnv",
     "OfflineTrainer",
     "TrainingResult",
     "OnlineOptimizer",

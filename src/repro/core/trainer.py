@@ -26,7 +26,6 @@ from repro.core.actions import ActionCatalog
 from repro.core.env import DECISION_MEMO_SIZE, CoSchedulingEnv
 from repro.core.features import FeatureExtractor
 from repro.core.rewards import RewardConfig
-from repro.core.vector_env import VectorCoSchedulingEnv
 from repro.gpu.arch import A100_40GB, GpuSpec
 from repro.gpu.device import SimulatedGpu
 from repro.perfmodel.cache import CacheStats, CoRunCache, corun_cache
@@ -113,8 +112,8 @@ class OfflineTrainer:
         self._ctx_cache: dict = {}
         # One step-decision memo shared by every environment the trainer
         # builds: keys are content signatures (not queue positions), so
-        # later train() calls and vectorized sub-envs all reuse earlier
-        # decisions instead of each warming a private memo from zero.
+        # later train() calls reuse earlier decisions instead of each
+        # warming a private memo from zero.
         self._decision_memo = CoRunCache(maxsize=DECISION_MEMO_SIZE)
 
     # ------------------------------------------------------------------
@@ -130,15 +129,8 @@ class OfflineTrainer:
             repo.store(job, profiler.profile(job))
         return repo
 
-    def build_env(
-        self, repository: ProfileRepository, env_seed: int | None = None
-    ) -> CoSchedulingEnv:
-        """One training environment over the fixed window set.
-
-        ``env_seed`` decorrelates the window-draw streams of the
-        sub-environments in a vectorized rollout; the window *set*
-        itself is always generated from the trainer's seed.
-        """
+    def build_env(self, repository: ProfileRepository) -> CoSchedulingEnv:
+        """One training environment over the fixed window set."""
         windows = self._windows
         if windows is None:
             # The window set is a pure function of the trainer's
@@ -157,7 +149,7 @@ class OfflineTrainer:
             catalog=self.catalog,
             window_size=self.window_size,
             reward_config=self.reward_config,
-            seed=self.seed if env_seed is None else env_seed,
+            seed=self.seed,
             binding=self.binding,
             window_context_cache=self._ctx_cache,
             decision_memo=self._decision_memo,
@@ -282,84 +274,3 @@ class OfflineTrainer:
                 stats.hit_rate,
             )
 
-    def train_vectorized(
-        self,
-        episodes: int = 400,
-        n_envs: int = 4,
-        repository: ProfileRepository | None = None,
-    ) -> TrainingResult:
-        """Offline training over ``n_envs`` synchronous environments.
-
-        Each iteration advances every environment one step with a single
-        batched network forward (:meth:`act_many`), so the NN cost per
-        decision drops by ``n_envs``x. The learning setup is unchanged —
-        same replay, same update-to-data ratio — but rollouts interleave
-        across environments, so the trajectory (and RNG consumption)
-        differs from the serial :meth:`train`; use the serial path when
-        bitwise reproducibility against it matters.
-        """
-        if episodes <= 0:
-            raise TrainingError("episode budget must be positive")
-        if n_envs <= 0:
-            raise TrainingError("n_envs must be positive")
-        if self.recorder is not None:
-            raise TrainingError(
-                "decision recording needs the serial train() path — "
-                "vectorized rollouts interleave windows across envs"
-            )
-        repo = repository or self.build_repository()
-        venv = VectorCoSchedulingEnv.from_factory(
-            lambda rank: self.build_env(repo, env_seed=self.seed + rank),
-            n_envs,
-        )
-        agent = DuelingDoubleDQNAgent(self.dqn_config)
-        result = TrainingResult(agent=agent, repository=repo)
-        corun_before = corun_cache().stats
-        decisions_before = self._decision_memo.stats
-        self._losses_recorded = 0
-
-        obs, infos = venv.reset()
-        masks = venv.action_masks(infos)
-        ep_returns = np.zeros(n_envs)
-        while len(result.episode_returns) < episodes:
-            actions = agent.act_many(obs, masks)
-            next_obs, rewards, terms, truncs, infos = venv.step(actions)
-            dones = terms | truncs
-            # For transitions that ended an episode, bootstrap targets
-            # need the *terminal* state/mask, not the auto-reset one.
-            replay_next = next_obs.copy()
-            next_masks = []
-            for i, info in enumerate(infos):
-                if "final_info" in info:
-                    replay_next[i] = info["final_observation"]
-                    next_masks.append(info["final_info"]["action_mask"])
-                else:
-                    next_masks.append(info["action_mask"])
-            agent.observe_many(
-                obs, actions, rewards, replay_next, dones, np.stack(next_masks)
-            )
-            ep_returns += rewards
-            for i in np.flatnonzero(dones):
-                if len(result.episode_returns) < episodes:
-                    result.episode_returns.append(float(ep_returns[i]))
-                    result.episode_throughputs.append(
-                        infos[i]["final_info"]["schedule"].throughput_gain
-                    )
-                    if self.telemetry.enabled:
-                        self._record_episode(
-                            agent,
-                            float(ep_returns[i]),
-                            infos[i]["final_info"]["schedule"].throughput_gain,
-                            infos[i]["final_observation"],
-                            len(result.episode_returns) - 1,
-                        )
-                ep_returns[i] = 0.0
-            obs = next_obs
-            masks = venv.action_masks(infos)
-        result.cache_stats = {
-            "corun": corun_cache().stats.delta(corun_before),
-            "decisions": self._decision_memo.stats.delta(decisions_before),
-        }
-        if self.telemetry.enabled:
-            self._record_cache_stats(result.cache_stats)
-        return result

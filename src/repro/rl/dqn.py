@@ -118,9 +118,8 @@ class DuelingDoubleDQNAgent:
     def q_values_many(self, states: np.ndarray) -> np.ndarray:
         """Online-network Q-values for stacked states, shape ``(B, A)``.
 
-        One forward call serves every row — this is the serving-path
-        analogue of :meth:`act_many`: ``B`` concurrent windows share one
-        call's Python/dispatch overhead. Row ``i`` is bitwise-identical
+        One forward call serves every row: ``B`` concurrent windows share
+        one call's Python/dispatch overhead. Row ``i`` is bitwise-identical
         to ``q_values(states[i])``, which the serving identity tests
         pin; that guarantee comes from :meth:`DuelingQNetwork.infer_rows`
         (batch-size-invariant matmul shapes), not from BLAS. Pure
@@ -162,41 +161,6 @@ class DuelingDoubleDQNAgent:
         q = np.where(mask, q, _NEG_INF)
         return int(np.argmax(q))
 
-    def act_many(
-        self, states: np.ndarray, masks: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Epsilon-greedy actions for a batch of states, shape ``(B,)``.
-
-        One network forward serves the whole batch — this is what makes
-        vectorized rollouts pay: with ``B`` synchronous environments the
-        per-step Python/dispatch overhead is amortized ``B``-fold. The
-        forward goes through the batch-size-invariant
-        :meth:`DuelingQNetwork.infer_rows`, so the greedy action for row
-        ``i`` is bit-for-bit the one :meth:`act` would pick for
-        ``states[i]``. All ``B`` states share the current epsilon (they
-        are concurrent, not sequential, decisions); ``env_steps``
-        advances by ``B``.
-        """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        b = states.shape[0]
-        n = self.config.n_actions
-        if masks is None:
-            masks = np.ones((b, n), dtype=bool)
-        masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-        if masks.shape != (b, n):
-            raise ConfigurationError(f"masks must have shape ({b}, {n})")
-        if not masks.any(axis=1).all():
-            raise TrainingError("no valid action available")
-        eps = self.epsilon
-        self.env_steps += b
-        q = self.online.infer_rows(states)
-        actions = np.argmax(np.where(masks, q, _NEG_INF), axis=1)
-        explore = self._rng.random(b) < eps
-        for i in np.flatnonzero(explore):
-            vm = np.flatnonzero(masks[i])
-            actions[i] = vm[int(self._rng.integers(0, vm.size))]
-        return actions.astype(np.int64)
-
     # ------------------------------------------------------------------
     # learning
     # ------------------------------------------------------------------
@@ -226,29 +190,6 @@ class DuelingDoubleDQNAgent:
         # never ask the replay buffer for more rows than it holds —
         # sample() rejects oversized draws instead of silently repeating
         return max(self.config.warmup_transitions, self.config.batch_size)
-
-    def observe_many(
-        self,
-        states: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        next_states: np.ndarray,
-        dones: np.ndarray,
-        next_masks: np.ndarray,
-    ) -> float | None:
-        """Store a batch of transitions, then take one gradient step per
-        stored transition (preserving the serial update-to-data ratio).
-
-        Returns the mean loss over the gradient steps taken, or ``None``
-        while warming up.
-        """
-        self.replay.push_many(
-            states, actions, rewards, next_states, dones, next_masks
-        )
-        if len(self.replay) < self._warm_threshold:
-            return None
-        losses = [self.train_step() for _ in range(len(np.atleast_1d(actions)))]
-        return float(np.mean(losses))
 
     def train_step(self) -> float:
         """One minibatch update (double-DQN target, Huber loss)."""

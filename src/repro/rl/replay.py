@@ -191,50 +191,6 @@ class ReplayBuffer:
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def push_many(
-        self,
-        states: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        next_states: np.ndarray,
-        dones: np.ndarray,
-        next_masks: np.ndarray,
-    ) -> None:
-        """Append a batch of transitions in one vectorized write.
-
-        Rows are inserted in order (row 0 is oldest); the ring wraps
-        exactly as ``push`` called row by row would.
-        """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        next_states = np.atleast_2d(np.asarray(next_states, dtype=np.float64))
-        next_masks = np.atleast_2d(np.asarray(next_masks, dtype=bool))
-        actions = np.asarray(actions, dtype=np.int64).ravel()
-        rewards = np.asarray(rewards, dtype=np.float64).ravel()
-        dones = np.asarray(dones, dtype=bool).ravel()
-        n = len(actions)
-        if n == 0:
-            return
-        if n > self.capacity:
-            # Only the trailing ``capacity`` rows can survive anyway.
-            sl = slice(n - self.capacity, None)
-            states, next_states, next_masks = (
-                states[sl],
-                next_states[sl],
-                next_masks[sl],
-            )
-            actions, rewards, dones = actions[sl], rewards[sl], dones[sl]
-            n = self.capacity
-        self._ensure_capacity(n, states.shape[1], next_masks.shape[1])
-        idx = (self._next + np.arange(n)) % self.capacity
-        self._states[idx] = states
-        self._actions[idx] = actions
-        self._rewards[idx] = rewards
-        self._next_states[idx] = next_states
-        self._dones[idx] = dones
-        self._next_masks[idx] = next_masks
-        self._next = int((self._next + n) % self.capacity)
-        self._size = min(self._size + n, self.capacity)
-
     def _check_batch(self, batch_size: int) -> None:
         """Reject undersized/oversized draws with a clear error instead
         of a numpy crash or a silent with-replacement fallback."""
@@ -405,27 +361,6 @@ class PrioritizedReplayBuffer(ReplayBuffer):
         row = self._next
         super().push(state, action, reward, next_state, done, next_mask)
         self._tree.update(row, self._max_priority)
-
-    def push_many(
-        self,
-        states: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        next_states: np.ndarray,
-        dones: np.ndarray,
-        next_masks: np.ndarray,
-    ) -> None:
-        start = self._next
-        before = self._size
-        super().push_many(
-            states, actions, rewards, next_states, dones, next_masks
-        )
-        # rows written = how far the cursor advanced (mod the ring)
-        n = (self._next - start) % self.capacity
-        if n == 0 and self._size > before:
-            n = self.capacity
-        for k in range(n):
-            self._tree.update((start + k) % self.capacity, self._max_priority)
 
     def sample_prioritized(
         self, batch_size: int

@@ -8,6 +8,8 @@ DET001    no wall-clock reads outside ``repro.clock`` / the CLI
 DET002    no global or unseeded RNG — inject a seeded ``Generator``
 DET003    no unordered set/``dict.keys()`` iteration feeding
           serialization or reductions in artifact-writing paths
+DET004    no bare absolute-epsilon time comparisons in the scheduler
+          layers — use ``repro.clock.time_le`` / ``time_lt``
 DET005    interprocedural RNG seed provenance: every RNG derives
           from an explicit seed, across module boundaries
 ARCH001   module-level imports respect the architecture layer DAG
@@ -21,11 +23,9 @@ HYG002    no ``print()`` in library code
 
 The per-file rules run in one AST pass; the project rules (DET005,
 ARCH001, OBS002) run over a whole-program import/call graph built
-once per run and cached incrementally (DESIGN.md §16). ``--fix``
-rewrites the mechanical findings in place; ``--format sarif`` emits a
-SARIF 2.1.0 log.
+once per run (DESIGN.md §16).
 
-Run it as ``repro-gpu statcheck [--json] [PATHS]`` or import
+Run it as ``repro-gpu statcheck [--json] [--verbose] [PATHS]`` or import
 :func:`check_paths` from tests. Per-line escape hatch::
 
     ...  # statcheck: ignore[DET001] <justification>
@@ -50,7 +50,6 @@ from repro.statcheck.config import (
 )
 from repro.statcheck.engine import (
     Report,
-    apply_fixes,
     check_paths,
     check_source,
     iter_python_files,
@@ -66,7 +65,6 @@ from repro.statcheck.rules import (
     all_codes,
     project_codes,
 )
-from repro.statcheck.sarif import to_sarif
 from repro.statcheck.symbols import ModuleSummary, summarize_module
 
 __all__ = [
@@ -82,7 +80,6 @@ __all__ = [
     "StatcheckError",
     "all_codes",
     "apply_baseline",
-    "apply_fixes",
     "check_paths",
     "check_source",
     "find_root",
@@ -93,7 +90,6 @@ __all__ = [
     "pragma_map",
     "project_codes",
     "summarize_module",
-    "to_sarif",
     "update_baseline",
     "write_baseline",
 ]

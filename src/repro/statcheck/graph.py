@@ -14,15 +14,13 @@ they bind:
   layer but carry no layering obligation.
 
 Everything the graph exposes — dependency lists, SCCs, topological
-order, transitive closures, content-hash keys — is deterministically
-ordered, so a cold run is byte-reproducible and the incremental cache
-can key findings on ``transitive_hash``.
+order, transitive closures — is deterministically ordered, so every
+run is byte-reproducible.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -70,33 +68,13 @@ class ImportEdge:
     def module_level(self) -> bool:
         return not self.deferred and not self.type_only
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "target": self.target,
-            "line": self.line,
-            "col": self.col,
-            "deferred": self.deferred,
-            "type_only": self.type_only,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, object]) -> "ImportEdge":
-        return cls(
-            target=str(doc["target"]),
-            line=int(doc["line"]),        # type: ignore[arg-type]
-            col=int(doc["col"]),          # type: ignore[arg-type]
-            deferred=bool(doc["deferred"]),
-            type_only=bool(doc["type_only"]),
-        )
-
 
 @dataclass
 class ModuleNode:
-    """One project module: identity, content hash, internal imports."""
+    """One project module: identity and internal imports."""
 
     module: str
     relpath: str
-    content_hash: str
     is_package: bool = False
     imports: list[ImportEdge] = field(default_factory=list)
 
@@ -372,23 +350,3 @@ class ModuleGraph:
         for mod in self.modules():
             visit(mod)
         return order
-
-    # -- cache keys ------------------------------------------------------
-    def transitive_hash(self, module: str) -> str:
-        """Content hash of ``module`` plus its whole transitive closure.
-
-        This is the incremental-cache key ingredient: it changes when
-        the module itself *or anything it can reach* changes, which is
-        exactly when interprocedural findings may shift.
-        """
-        node = self.nodes[module]
-        h = hashlib.sha256()
-        h.update(node.content_hash.encode())
-        for dep in sorted(self.transitive_deps(module)):
-            dep_node = self.nodes.get(dep)
-            if dep_node is not None:
-                h.update(b"\x00")
-                h.update(dep.encode())
-                h.update(b"\x01")
-                h.update(dep_node.content_hash.encode())
-        return h.hexdigest()

@@ -7,10 +7,8 @@ exists in this environment, each program is modelled analytically by a
 vs. memory time, Amdahl parallel fraction, bandwidth demand,
 interference sensitivity) were chosen so the paper's classification
 procedure reproduces Table IV exactly (verified in the test suite).
-
-:mod:`repro.workloads.reference` additionally provides runnable NumPy
-mini-kernels for a representative subset of the suite, used by the
-example scripts to demonstrate end-to-end profiling.
+Every simulated result derives from these models; nothing in the
+package executes a real kernel.
 """
 
 from repro.workloads.kernels import KernelModel

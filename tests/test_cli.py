@@ -20,6 +20,22 @@ class TestParser:
             build_parser().parse_args(["schedule", "Q1", "--method", "magic"])
 
 
+class TestDomainErrors:
+    """A ``repro.errors`` exception raised by a subcommand is a bad
+    input, not a crash: one ``<command>: error:`` line, exit code 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["train", "--episodes", "0"],
+                     "episode budget must be positive", id="train"),
+        pytest.param(["fleet", "--nodes", "0"],
+                     "joint trainer sizes must be positive", id="fleet"),
+    ])
+    def test_one_stderr_line_and_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"{argv[0]}: error: {message}"]
+
+
 class TestCommands:
     def test_profile_subset(self, capsys):
         assert main(["profile", "stream", "kmeans"]) == 0

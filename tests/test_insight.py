@@ -26,7 +26,7 @@ from repro.core.actions import ActionCatalog
 from repro.core.optimizer import OnlineDecision, OnlineOptimizer
 from repro.core.problem import Schedule
 from repro.core.trainer import OfflineTrainer
-from repro.errors import ReproError, TrainingError
+from repro.errors import ReproError
 from repro.insight import (
     AlertConfig,
     AlertEngine,
@@ -173,11 +173,6 @@ class TestRecorder:
         path.write_text("[1, 2]\n")
         with pytest.raises(ReproError, match=r"decisions\.jsonl:1: expected a JSON object"):
             read_decision_log(path)
-
-    def test_vectorized_training_rejects_recorder(self):
-        trainer = _small_trainer(DecisionRecorder())
-        with pytest.raises(TrainingError):
-            trainer.train_vectorized(episodes=8, n_envs=2)
 
 
 # ----------------------------------------------------------------------

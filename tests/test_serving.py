@@ -298,30 +298,6 @@ class TestBatchedInference:
             for i in range(b):
                 assert np.array_equal(qs[i], agent.q_values(states[i]))
 
-    @pytest.mark.parametrize("dueling", [True, False])
-    @pytest.mark.parametrize("double", [True, False])
-    def test_act_many_matches_act_greedy(self, dueling, double):
-        cfg = DQNConfig(
-            n_inputs=14,
-            n_actions=9,
-            hidden=(24, 12),
-            seed=11,
-            use_dueling=dueling,
-            use_double=double,
-        )
-        agent = DuelingDoubleDQNAgent(cfg)
-        agent.freeze()
-        rng = np.random.default_rng(2)
-        for b in (1, 5, 12):
-            states = rng.normal(size=(b, cfg.n_inputs))
-            masks = rng.random((b, cfg.n_actions)) < 0.6
-            masks[np.arange(b), rng.integers(0, cfg.n_actions, b)] = True
-            batch_actions = agent.act_many(states, masks)
-            singles = [
-                agent.act(states[i], masks[i]) for i in range(b)
-            ]
-            assert batch_actions.tolist() == singles
-
 
 class TestEnvDecisionMemo:
     def test_memo_transfers_across_envs_and_permutations(self, tiny_training):

@@ -254,6 +254,25 @@ def test_config_rejects_unknown_rule(tmp_path):
         load_config(tmp_path)
 
 
+@pytest.mark.parametrize("table, key", [
+    ("tool.statcheck", "baselin"),
+    ("tool.statcheck.arch", "layer"),
+    ("tool.statcheck.obs", "observer"),
+    ("tool.statcheck.rules.DET001", "alow"),
+])
+def test_config_rejects_unknown_key(tmp_path, capsys, table, key):
+    """A misspelt key must not silently fall back to the default (a
+    misspelt ``observer`` would leave OBS002 checking nothing)."""
+    (tmp_path / "pyproject.toml").write_text(f'[{table}]\n{key} = ["x"]\n')
+    expected = f"[{table}] unknown key(s) '{key}'"
+    with pytest.raises(StatcheckError) as excinfo:
+        load_config(tmp_path)
+    assert expected in str(excinfo.value)
+    assert main(["statcheck", "--root", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("statcheck: error: " + expected)
+
+
 def test_rule_scope_overrides_replace_defaults(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
         '[tool.statcheck]\npaths = ["src"]\n'

@@ -8,7 +8,6 @@ returns, and throughputs — not merely statistically similar ones.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.trainer import OfflineTrainer
 from repro.perfmodel.cache import (
@@ -67,22 +66,6 @@ class TestFastPathIdentity:
             result = _small_trainer().train(episodes=3)
         assert result.cache_stats["corun"].lookups == 0
         assert result.cache_stats["decisions"].lookups == 0
-
-
-class TestVectorizedTraining:
-    def test_train_vectorized_smoke(self):
-        result = _small_trainer().train_vectorized(episodes=6, n_envs=2)
-        assert len(result.episode_returns) == 6
-        assert len(result.episode_throughputs) == 6
-        assert all(np.isfinite(result.episode_returns))
-        assert all(t > 0 for t in result.episode_throughputs)
-        assert result.cache_stats["decisions"].maxsize > 0
-
-    def test_bad_budgets(self):
-        with pytest.raises(Exception):
-            _small_trainer().train_vectorized(episodes=0)
-        with pytest.raises(Exception):
-            _small_trainer().train_vectorized(episodes=1, n_envs=0)
 
 
 class TestInferenceForward:

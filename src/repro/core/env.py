@@ -30,6 +30,10 @@ corun_cache_disabled`) and serves as the ground truth the fast path is
   ``decision_memo``). It produces bitwise-identical transitions; one
   global switch selects between the two.
 
+The same switch selects how :meth:`CoSchedulingEnv.score_action` — the
+profile-only score the online optimizer reranks templates by — binds a
+candidate step: from the window tables, or with the reference binder.
+
 Windows are drained in **serving-canonical order** (sorted by profile
 signature; see :mod:`repro.core.serving`) on both paths, which makes
 every decision a pure function of window *content* — the invariant the
@@ -349,6 +353,11 @@ class CoSchedulingEnv(Env):
         self._action_infos: list[_ActionInfo | None] = [None] * catalog.n_actions
         self._window_idx = -1
         self._fast = False
+        # Fast-path bindings (action -> chosen window indices) for the
+        # current availability set, filled by score_action() and step()
+        # alike and cleared whenever availability changes, so a step
+        # reuses the binding its rerank already computed.
+        self._bound: dict[int, tuple[int, ...]] = {}
 
         # per-episode state
         self._jobs: list[Job] = []
@@ -404,6 +413,7 @@ class CoSchedulingEnv(Env):
             self._ctx = None
             self._stats = WindowStats.from_profiles(self._profiles)
         self._available = [True] * len(self._jobs)
+        self._bound.clear()
         self._schedule = Schedule(method="MIG+MPS w/ RL")
         return self._observe(), self._info()
 
@@ -470,6 +480,63 @@ class CoSchedulingEnv(Env):
     def availability(self) -> tuple[bool, ...]:
         """Which window slots are still schedulable."""
         return tuple(self._available)
+
+    # ------------------------------------------------------------------
+    # profile-only scoring of a candidate step (online reranking)
+    # ------------------------------------------------------------------
+    def score_action(self, action: int) -> tuple[tuple[int, ...], float]:
+        """Score committing template ``action`` now, without committing.
+
+        Returns the window indices (into :attr:`window_jobs`, in slot
+        order) that ``step(action)`` would bind, and the predicted
+        throughput gain of that group: the bound jobs' solo-time sum
+        over the analytic predictor's makespan. Both come from profiles
+        alone, before any launch; the online optimizer reranks its
+        top-k templates by the gain.
+
+        On the fast path the binding is computed from the window's
+        cached tables (the Hungarian solve on the reward matrix, the
+        lean conflict-aware search, the memoized predictor) and kept
+        for the current availability set, so the next ``step(action)``
+        does not bind again. Under
+        :func:`~repro.perfmodel.cache.corun_cache_disabled` (latched at
+        ``reset()``) it runs the reference binder :meth:`_bind` and
+        :meth:`AnalyticPredictor.predict_group`. The two return the
+        same indices and the bitwise-same gain.
+        """
+        self._check_action(action)
+        profiles = self._profiles
+        if not self._fast:
+            chosen = self._bind_reference(action)
+            tree = self.catalog.variant(action).tree
+            predicted = self.predictor.predict_group(
+                [profiles[i] for i in chosen], tree
+            )
+            return chosen, predicted.predicted_gain
+        chosen = self._bind_fast(action)
+        makespan = self._predict(self._action_info(action), action, chosen)
+        return chosen, sum(profiles[i].solo_time for i in chosen) / makespan
+
+    def _check_action(self, action: int) -> None:
+        if self._schedule is None:
+            raise SchedulingError(
+                "call reset() before step() or score_action()"
+            )
+        if not self.catalog.mask(self._n_remaining())[action]:
+            raise SchedulingError(
+                f"action {action} (C={self.catalog.concurrency(action)}) is "
+                f"invalid with {self._n_remaining()} jobs remaining"
+            )
+
+    def _bind_reference(self, action: int) -> tuple[int, ...]:
+        """:meth:`_bind` over the still-available jobs: window indices,
+        in slot order, for ``action`` (the reference path's binding)."""
+        candidates = [i for i, a in enumerate(self._available) if a]
+        binding = self._bind(
+            self.catalog.variant(action).tree,
+            [self._profiles[i] for i in candidates],
+        )
+        return tuple(candidates[b] for b in binding)
 
     def _bind(self, tree, cand_profiles) -> list[int]:
         """Reference binder: candidate jobs onto the template's slots.
@@ -544,26 +611,26 @@ class CoSchedulingEnv(Env):
             memo[key] = est
         return est
 
-    def _decide_fast(
-        self, action: int
-    ) -> tuple[tuple[int, ...], tuple[float, ...], ScheduledGroup]:
-        """One step's decision via the precomputed window tables.
+    def _bind_fast(self, action: int) -> tuple[int, ...]:
+        """The binding half of a fast-path decision: window indices, in
+        slot order, for ``action`` under the current availability set.
 
-        Replays the reference computation — optimal binding via the
+        Replays the reference binder — optimal binding via the
         Hungarian algorithm on the same reward matrix, the same
         conflict-aware local search, the same predictor arbitration
         (skipped entirely when both binders agree, which cannot change
-        the outcome) — producing the identical (chosen, rewards, group)
-        triple.
+        the outcome) — so the indices are :meth:`_bind`'s. Kept in
+        ``_bound`` until availability changes.
         """
+        chosen = self._bound.get(action)
+        if chosen is not None:
+            return chosen
         info = self._action_info(action)
         ctx = self._ctx
         candidates = [i for i, a in enumerate(self._available) if a]
         m, m_list = ctx.matrix(info, action)
-        sub = m[candidates, :]
-        rows, cols = linear_sum_assignment(sub, maximize=True)
-        n_slots = len(info.slots)
-        b_opt = [0] * n_slots
+        rows, cols = linear_sum_assignment(m[candidates, :], maximize=True)
+        b_opt = [0] * len(info.slots)
         for j, s in zip(rows, cols):
             b_opt[s] = int(j)
         if self.binding == "optimal":
@@ -589,7 +656,20 @@ class CoSchedulingEnv(Env):
                 )
                 binding = b_ca if est_ca <= est_opt else b_opt
         chosen = tuple(candidates[b] for b in binding)
-        r_is = tuple(float(sub[b, s]) for s, b in enumerate(binding))
+        self._bound[action] = chosen
+        return chosen
+
+    def _decide_fast(
+        self, action: int
+    ) -> tuple[tuple[int, ...], tuple[float, ...], ScheduledGroup]:
+        """The group half of a fast-path decision: the intermediate
+        rewards of :meth:`_bind_fast`'s binding, read from the same
+        reward matrix, and the co-run group — the reference path's
+        (chosen, rewards, group) triple."""
+        info = self._action_info(action)
+        chosen = self._bind_fast(action)
+        m_list = self._ctx.matrix(info, action)[1]
+        r_is = tuple(m_list[i][s] for s, i in enumerate(chosen))
         group = ScheduledGroup.run([self._jobs[i] for i in chosen], info.tree)
         return chosen, r_is, group
 
@@ -599,14 +679,7 @@ class CoSchedulingEnv(Env):
     def step(
         self, action: int
     ) -> tuple[np.ndarray, float, bool, bool, dict[str, Any]]:
-        if self._schedule is None:
-            raise SchedulingError("call reset() before step()")
-        mask = self.catalog.mask(self._n_remaining())
-        if not mask[action]:
-            raise SchedulingError(
-                f"action {action} (C={self.catalog.concurrency(action)}) is "
-                f"invalid with {self._n_remaining()} jobs remaining"
-            )
+        self._check_action(action)
         if self._fast:
             # Content-addressed and job-order-invariant: the window's
             # canonical profile signatures (not its index) plus the
@@ -637,10 +710,7 @@ class CoSchedulingEnv(Env):
                 self._decisions.put(memo_key, (chosen, r_is, group))
         else:
             variant = self.catalog.variant(action)
-            candidates = [i for i, a in enumerate(self._available) if a]
-            cand_profiles = [self._profiles[i] for i in candidates]
-            binding = self._bind(variant.tree, cand_profiles)
-            chosen = [candidates[b] for b in binding]
+            chosen = self._bind_reference(action)
             slots = variant.tree.slots()
             r_is = [
                 intermediate_reward(self._profiles[i], slot, self._stats)
@@ -652,6 +722,7 @@ class CoSchedulingEnv(Env):
         self._schedule.append(group)
         for i in chosen:
             self._available[i] = False
+        self._bound.clear()
 
         reward = group_reward(
             r_is,

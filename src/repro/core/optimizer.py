@@ -11,7 +11,15 @@ The :class:`OnlineOptimizer` wraps a trained (frozen) agent:
   predictor arbitrates among them — a pure-compute refinement (no job
   is launched to make the decision) that filters residual Q-value noise
   without leaving the paper's classification framing (``rerank_top_k=1``
-  is the plain argmax policy, available for ablation);
+  is the plain argmax policy, available for ablation). Each candidate
+  is scored by :meth:`CoSchedulingEnv.score_action`, which binds it
+  from the environment's per-window tables and keeps the binding, so
+  the step that commits the winner does not bind again; the reference
+  binder runs only under ``corun_cache_disabled()``. ``_rerank`` is the
+  one selection hook: the serial :meth:`OnlineOptimizer.optimize` and
+  the batched :meth:`OnlineOptimizer.optimize_many` both call it, and a
+  subclass narrows the choice there (the power cap of
+  :class:`repro.power.capping.PowerCappedOptimizer`);
 * the paper's first constraint is enforced: any emitted group whose
   co-run loses to time sharing is split back into solo runs;
 * the decision-making overhead (pure agent/assignment compute time) is
@@ -209,7 +217,9 @@ class OnlineOptimizer:
             done = False
             while not done:
                 t0 = self.clock()
-                action = self._select_action(env, obs, info["action_mask"])
+                action = self._rerank(
+                    env, self.agent.q_values(obs), info["action_mask"]
+                )
                 decision_time += self.clock() - t0
                 if capture is not None:
                     capture.stage(obs, info["action_mask"], action)
@@ -472,26 +482,23 @@ class OnlineOptimizer:
         return decisions
 
     # ------------------------------------------------------------------
-    def _select_action(
-        self, env: CoSchedulingEnv, obs: np.ndarray, mask: np.ndarray
-    ) -> int:
-        """One window's greedy decision: Q forward plus reranking."""
-        return self._rerank(env, self.agent.q_values(obs), mask)
-
     def _rerank(
         self, env: CoSchedulingEnv, q: np.ndarray, mask: np.ndarray
     ) -> int:
         """Greedy Q action, refined by predictor reranking of the top-k.
 
-        ``q`` is the unmasked Q row for the current observation — from a
-        single forward (:meth:`_select_action`) or one row of a batched
+        The one selection hook: :meth:`optimize` and :meth:`optimize_many`
+        both call it once per step, so a subclass that narrows the
+        choice (the power cap) acts on both paths. ``q`` is the unmasked
+        Q row for the current observation — from a single forward or
+        one row of a batched
         :meth:`~repro.rl.dqn.DuelingDoubleDQNAgent.q_values_many`
         forward; the two are bitwise-identical, so so is the choice.
 
-        The predictor score is the group's predicted throughput gain
-        under the binding the environment would use — the same
-        profile-only computation the environment performs, so the
-        choice is implementable on a real system before any launch.
+        The score is :meth:`CoSchedulingEnv.score_action`'s predicted
+        throughput gain under the binding the environment would use —
+        a profile-only computation, so the choice is implementable on a
+        real system before any launch.
         """
         q = np.where(mask, q, -np.inf)
         order = np.argsort(q)[::-1]
@@ -500,16 +507,9 @@ class OnlineOptimizer:
             raise SchedulingError("no valid action available")
         if len(top) == 1:
             return top[0]
-        candidates = [i for i, a in enumerate(env._available) if a]
-        cand_profiles = [env._profiles[i] for i in candidates]
         best_action, best_score = top[0], -np.inf
         for action in top:
-            variant = env.catalog.variant(action)
-            binding = env._bind(variant.tree, cand_profiles)
-            predicted = env.predictor.predict_group(
-                [cand_profiles[i] for i in binding], variant.tree
-            )
-            score = predicted.predicted_gain
+            score = env.score_action(action)[1]
             if score > best_score:
                 best_action, best_score = action, score
         return best_action

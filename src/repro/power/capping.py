@@ -8,6 +8,15 @@ cap-feasible by construction. When no co-run template fits the cap the
 window degrades gracefully towards solo execution (the minimum-draw
 configuration available without clock throttling, which is out of this
 model's scope).
+
+The cap scan overrides the optimizer's one selection hook, ``_rerank``,
+so the serial ``optimize`` and the batched ``optimize_many`` (the path
+``CoSchedulingPolicy.schedule_many`` and the fleet use) apply the same
+cap. Each template is bound through
+:meth:`~repro.core.env.CoSchedulingEnv.score_action`, whose bindings
+the rerank and the committing step then reuse. The cap and the power
+model enter the policy signature, so a ``DecisionCache`` shared with an
+uncapped optimizer never replays an uncapped plan here.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ class PowerCappedOptimizer(OnlineOptimizer):
             )
         self.power_cap_watts = power_cap_watts
         self.cap_violation_fallbacks = 0
+        self._policy_sig += (power_cap_watts, self.power_model)
 
     # ------------------------------------------------------------------
     def estimate_group_watts(
@@ -71,27 +81,24 @@ class PowerCappedOptimizer(OnlineOptimizer):
         return min(pm.idle_watts + dynamic, pm.tdp_watts)
 
     # ------------------------------------------------------------------
-    def _select_action(
-        self, env: CoSchedulingEnv, obs: np.ndarray, mask: np.ndarray
+    def _rerank(
+        self, env: CoSchedulingEnv, q: np.ndarray, mask: np.ndarray
     ) -> int:
         """Q-ranked selection restricted to cap-feasible templates."""
-        candidates = [i for i, a in enumerate(env._available) if a]
-        cand_profiles = [env._profiles[i] for i in candidates]
-
+        profiles = env.job_profiles
         watts: dict[int, float] = {}
         feasible = mask.copy()
         for action in np.flatnonzero(mask):
-            variant = env.catalog.variant(int(action))
-            binding = env._bind(variant.tree, cand_profiles)
-            w = self.estimate_group_watts(
-                [cand_profiles[i] for i in binding], variant.tree
-            )
-            watts[int(action)] = w
+            action = int(action)
+            chosen = env.score_action(action)[0]
+            tree = self.catalog.variant(action).tree
+            w = self.estimate_group_watts([profiles[i] for i in chosen], tree)
+            watts[action] = w
             if w > self.power_cap_watts:
                 feasible[action] = False
 
         if feasible.any():
-            return super()._select_action(env, obs, feasible)
+            return super()._rerank(env, q, feasible)
         # no template fits the cap: best effort — the least-drawing one
         self.cap_violation_fallbacks += 1
         return min(watts, key=watts.get)

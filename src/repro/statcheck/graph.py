@@ -221,48 +221,22 @@ class ModuleGraph:
         self.nodes: dict[str, ModuleNode] = {
             n.module: n for n in sorted(nodes, key=lambda n: n.module)
         }
-        self._transitive: dict[str, frozenset[str]] | None = None
         self._sccs: list[tuple[str, ...]] | None = None
 
     # -- structure -------------------------------------------------------
     def modules(self) -> list[str]:
         return sorted(self.nodes)
 
-    def direct_deps(self, module: str, *, module_level_only: bool = True,
-                    ) -> list[str]:
+    def direct_deps(self, module: str) -> list[str]:
+        """Project modules ``module`` imports at module level, sorted."""
         node = self.nodes.get(module)
         if node is None:
             return []
         targets = {
             e.target for e in node.imports
-            if (e.module_level or not module_level_only)
-            and e.target in self.nodes
+            if e.module_level and e.target in self.nodes
         }
         return sorted(targets)
-
-    def transitive_deps(self, module: str) -> frozenset[str]:
-        """All modules reachable from ``module`` via *any* import edge.
-
-        Deferred and type-only edges are included: a dependency a
-        module resolves lazily still shapes its interprocedural
-        findings, so the cache must key on it too.
-        """
-        if self._transitive is None:
-            self._transitive = {}
-        cached = self._transitive.get(module)
-        if cached is not None:
-            return cached
-        seen: set[str] = set()
-        stack = [module]
-        while stack:
-            cur = stack.pop()
-            for dep in self.direct_deps(cur, module_level_only=False):
-                if dep not in seen:
-                    seen.add(dep)
-                    stack.append(dep)
-        result = frozenset(seen)
-        self._transitive[module] = result
-        return result
 
     # -- cycle detection -------------------------------------------------
     def sccs(self) -> list[tuple[str, ...]]:
@@ -325,28 +299,3 @@ class ModuleGraph:
                 for mod in comp:
                     out[mod] = comp
         return out
-
-    def topo_order(self) -> list[str]:
-        """Dependencies-first order (cycles grouped, then sorted)."""
-        order: list[str] = []
-        seen: set[str] = set()
-
-        def visit(mod: str) -> None:
-            stack = [(mod, False)]
-            while stack:
-                cur, expanded = stack.pop()
-                if expanded:
-                    order.append(cur)
-                    continue
-                if cur in seen:
-                    continue
-                seen.add(cur)
-                stack.append((cur, True))
-                for dep in reversed(self.direct_deps(
-                        cur, module_level_only=False)):
-                    if dep not in seen:
-                        stack.append((dep, False))
-
-        for mod in self.modules():
-            visit(mod)
-        return order

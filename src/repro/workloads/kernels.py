@@ -169,30 +169,3 @@ class KernelModel:
         )
         hi, lo = (tc, tm) if tc >= tm else (tm, tc)
         return hi + (1.0 - self.overlap) * lo
-
-    def progress_rate(
-        self,
-        compute_fraction: float,
-        bandwidth_fraction: float,
-        interference_pressure: float = 0.0,
-    ) -> float:
-        """Fraction of the job's total work completed per second under
-        an allocation — the staged co-run simulator integrates this."""
-        return 1.0 / self.execution_time(
-            compute_fraction, bandwidth_fraction, interference_pressure
-        )
-
-    def effective_bw_demand(
-        self, compute_fraction: float, bandwidth_fraction: float
-    ) -> float:
-        """Bandwidth the job actually tries to drive under an allocation.
-
-        A compute-throttled job issues memory traffic more slowly; we
-        scale its unconstrained demand by the ratio of its solo duty
-        cycle to its slowed-down duty cycle, capped by the granted
-        bandwidth share. Used for contention accounting.
-        """
-        t_solo = self.solo_time
-        t_now = self.execution_time(compute_fraction, bandwidth_fraction)
-        pace = t_solo / t_now if t_now > 0 else 1.0
-        return min(self.bw_demand * max(pace, 1e-6), bandwidth_fraction, self.bw_demand)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError, SchedulingError
 from repro.core.actions import ActionCatalog
 from repro.core.problem import Schedule, ScheduledGroup
+from repro.core.serving import DecisionCache, schedule_fingerprint
 from repro.gpu.partition import parse_partition
 from repro.power import PowerCappedOptimizer, PowerModel, schedule_energy
 from repro.workloads.jobs import Job
@@ -89,13 +90,14 @@ class TestPowerCappedOptimizer:
         repo = result.repository.copy()
         profile_all_benchmarks(repo)
 
-        def make(cap):
+        def make(cap, **kwargs):
             return PowerCappedOptimizer(
                 result.agent,
                 repo,
                 ActionCatalog(c_max=trainer.c_max),
                 trainer.window_size,
                 power_cap_watts=cap,
+                **kwargs,
             ), trainer
 
         return make
@@ -106,16 +108,52 @@ class TestPowerCappedOptimizer:
 
     def test_schedule_respects_cap_estimates(self, capped_factory):
         optimizer, trainer = capped_factory(180.0)
-        names = ["stream", "kmeans", "lud_B", "qs_Coral_P1", "lavaMD", "hotspot3D"]
-        window = [Job.submit(n) for n in names[: trainer.window_size]]
+        window = self._cap_window(trainer)
         decision = optimizer.optimize(window)
-        pm = optimizer.power_model
-        for group in decision.schedule.groups:
+        self._assert_within_cap(optimizer, decision.schedule, 180.0)
+
+    @staticmethod
+    def _cap_window(trainer):
+        names = ["stream", "kmeans", "lud_B", "qs_Coral_P1", "lavaMD", "hotspot3D"]
+        return [Job.submit(n) for n in names[: trainer.window_size]]
+
+    def _assert_within_cap(self, optimizer, schedule, cap):
+        for group in schedule.groups:
             if group.concurrency == 1:
                 continue
             profiles = [optimizer.repository.lookup(j) for j in group.jobs]
             est = optimizer.estimate_group_watts(profiles, group.partition)
-            assert est <= 180.0 + 1e-6
+            assert est <= cap + 1e-6
+
+    def test_batched_path_respects_cap(self, capped_factory):
+        # optimize_many (the path CoSchedulingPolicy.schedule_many and
+        # the fleet take) must apply the same cap as the serial optimize
+        optimizer, trainer = capped_factory(180.0)
+        window = self._cap_window(trainer)
+        serial = optimizer.optimize(window)
+        batched = optimizer.optimize_many([window])[0]
+        assert schedule_fingerprint(batched.schedule) == schedule_fingerprint(
+            serial.schedule
+        )
+        self._assert_within_cap(optimizer, batched.schedule, 180.0)
+
+    def test_shared_cache_does_not_replay_uncapped_plans(
+        self, capped_factory, tiny_training
+    ):
+        trainer, result = tiny_training
+        from repro.core.optimizer import OnlineOptimizer
+
+        cache = DecisionCache()
+        capped, _ = capped_factory(180.0, decision_cache=cache)
+        plain = OnlineOptimizer(
+            result.agent, capped.repository, ActionCatalog(c_max=trainer.c_max),
+            trainer.window_size, decision_cache=cache,
+        )
+        window = self._cap_window(trainer)
+        plain.optimize_many([window])
+        decision = capped.optimize_many([list(window)])[0]
+        assert not decision.cached
+        self._assert_within_cap(capped, decision.schedule, 180.0)
 
     def test_loose_cap_changes_nothing(self, capped_factory, tiny_training):
         trainer, result = tiny_training

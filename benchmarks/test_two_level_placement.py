@@ -16,9 +16,9 @@ rows of EXPERIMENTS.md's two-level table and asserts:
 The simulation is deterministic given the seeds, but BLAS thread count
 moves the trained weights: pin one thread
 (``OPENBLAS_NUM_THREADS=1``) to reproduce the recorded table. With
-placement off the fleet engine stays bitwise-identical to the
-``ClusterScheduler`` oracle; ``tests/test_hierarchy.py::TestNeutrality``
-checks that. Run with::
+placement off the fleet engine's dispatch stays bitwise-identical to
+its golden digest; ``tests/test_hierarchy.py::TestNeutrality`` checks
+that. Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_two_level_placement.py -q -s
 """

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Trace replay through the Slurm-like batch system.
+"""Trace replay through the fleet engine.
 
 Scenario: a day in the life of a 2-GPU node under a bursty submission
 trace. Jobs arrive over time (doubly-stochastic Poisson arrivals with
-per-user program affinities); the batch system dispatches windows to
-free GPUs, co-scheduling when the queue is crowded and falling back to
-FCFS when it is not — the policy-selection mechanism of the paper's
-Section VI. The same trace is replayed under always-FCFS for
-comparison.
+per-user program affinities); the engine dispatches windows of at least
+two jobs to free GPUs, co-scheduling when the queue is crowded and
+falling back to FCFS when it is not — the policy-selection mechanism of
+the paper's Section VI. The same trace is replayed under always-FCFS
+for comparison.
 
 Run:  python examples/batch_system_replay.py [episodes]
 """
@@ -16,14 +16,14 @@ import sys
 
 from repro import ActionCatalog, MixCategory, OfflineTrainer, OnlineOptimizer
 from repro.cluster import (
-    BatchSystem,
     ClusterState,
     CoSchedulingPolicy,
     FcfsPolicy,
-    JobState,
+    FleetEngine,
     PolicySelector,
 )
 from repro.core.evaluation import profile_all_benchmarks
+from repro.workloads.arrivals import TraceArrivals
 from repro.workloads.traces import generate_trace
 
 EPISODES = int(sys.argv[1]) if len(sys.argv) > 1 else 300
@@ -43,22 +43,13 @@ def run_trace(optimizer, crowding_threshold: int) -> dict:
         fcfs=FcfsPolicy(),
         crowding_threshold=crowding_threshold,
     )
-    bs = BatchSystem(
-        cluster=ClusterState.homogeneous(2),
-        selector=selector,
-        window_size=12,
-        min_batch=2,
+    engine = FleetEngine(
+        ClusterState.homogeneous(2), selector, window_size=12, min_batch=2
     )
-    # event-driven replay: submit as jobs arrive, tick the clock along
-    for event in trace:
-        bs.tick(event.submit_time)
-        bs.sbatch(event.benchmark_name, user=event.user)
-    bs.drain()
-    acct = bs.sacct()
-    acct["policy_mix"] = {
-        s.value: len(bs.squeue(s)) for s in JobState
-    }
-    return acct
+    # event-driven replay: each trace submission is an arrival event
+    engine.attach_arrivals(TraceArrivals(trace))
+    engine.run()
+    return engine.summary()
 
 
 def main() -> None:

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Multi-GPU cluster simulation — the paper's Section VI extension.
 
-Scenario: a 4-GPU node pool draining a 96-job backlog. The two-level
-scheduler dispatches 12-job windows to the earliest-free GPU; the
-per-window policy switches between the RL co-scheduler (crowded) and
-FCFS (light load) via the policy selector the paper sketches as future
-work. The run is repeated with plain FCFS everywhere to quantify the
+Scenario: a 4-GPU node pool draining a 96-job backlog. The fleet engine
+dispatches 12-job windows to the earliest-free GPU; the per-window
+policy switches between the RL co-scheduler (crowded) and FCFS (light
+load) via the policy selector the paper sketches as future work. The
+run is repeated with plain FCFS everywhere to quantify the
 cluster-level benefit of node-local co-scheduling.
 
 Run:  python examples/cluster_simulation.py [episodes]
@@ -14,7 +14,7 @@ Run:  python examples/cluster_simulation.py [episodes]
 import sys
 
 from repro import ActionCatalog, MixCategory, OfflineTrainer, OnlineOptimizer, QueueGenerator
-from repro.cluster import ClusterScheduler, ClusterState, CoSchedulingPolicy, FcfsPolicy, PolicySelector
+from repro.cluster import ClusterState, CoSchedulingPolicy, FcfsPolicy, FleetEngine, PolicySelector
 from repro.core.evaluation import profile_all_benchmarks
 from repro.workloads.jobs import JobQueue
 
@@ -30,6 +30,27 @@ def build_backlog(seed: int) -> JobQueue:
     for i in range(BACKLOG // 12):
         names.extend(gen.queue(cats[i % 4], w=12).benchmark_names)
     return JobQueue.from_benchmarks(names, name="backlog")
+
+
+def drain(selector: PolicySelector) -> dict:
+    """Submit the backlog at t=0, drain it, and summarize the windows."""
+    engine = FleetEngine(
+        ClusterState.homogeneous(N_GPUS), selector, window_size=12,
+        keep_history=True,
+    )
+    engine.submit_queue(build_backlog(seed=42))
+    result = engine.run()
+    per_node: dict[str, int] = {}
+    for record in result.history:
+        per_node[record.node_name] = per_node.get(record.node_name, 0) + 1
+    return {
+        "makespan": result.makespan,
+        "utilization": result.utilization,
+        "windows_dispatched": len(result.history),
+        "windows_per_node": per_node,
+        "mean_window_gain": sum(r.throughput_gain for r in result.history)
+        / len(result.history),
+    }
 
 
 def main() -> None:
@@ -48,10 +69,7 @@ def main() -> None:
     )
 
     print(f"\ndispatching {BACKLOG} jobs over {N_GPUS} GPUs (co-scheduling) ...")
-    cluster = ClusterState.homogeneous(N_GPUS)
-    scheduler = ClusterScheduler(cluster=cluster, selector=selector)
-    scheduler.run(build_backlog(seed=42))
-    co = scheduler.summary()
+    co = drain(selector)
 
     print("re-running the same backlog with FCFS only ...")
     fcfs_selector = PolicySelector(
@@ -59,10 +77,7 @@ def main() -> None:
         fcfs=FcfsPolicy(),
         crowding_threshold=10**9,  # never crowded -> always FCFS
     )
-    fcfs_cluster = ClusterState.homogeneous(N_GPUS)
-    fcfs_sched = ClusterScheduler(cluster=fcfs_cluster, selector=fcfs_selector)
-    fcfs_sched.run(build_backlog(seed=42))
-    fc = fcfs_sched.summary()
+    fc = drain(fcfs_selector)
 
     print("\n=== cluster results ===")
     print(f"{'':<24s} {'co-scheduling':>14s} {'FCFS':>10s}")

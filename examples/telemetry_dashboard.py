@@ -202,11 +202,8 @@ def main() -> int:
         for name in (
             "windows_dispatched_total",
             "jobs_completed_total",
-            "jobs_failed_total",
-            "job_requeues_total",
             "dispatch_retries_total",
             "degraded_groups_total",
-            "policy_fallbacks_total",
             "faults_injected_total",
             "device_reconfigs_total",
         ):

@@ -10,11 +10,12 @@ Subcommands cover the pipeline stages:
 * ``train``    — run offline training, report convergence, save weights;
 * ``schedule`` — schedule one of the paper's queues (Q1..Q12) with a
   chosen method and print the resulting groups and metrics;
-* ``cluster``  — drain a queue through the Slurm-like batch system on a
-  multi-GPU cluster, optionally under seeded fault injection
+* ``cluster``  — drain a queue over a multi-GPU cluster through the
+  fleet engine, optionally under seeded fault injection
   (``--faults RATE``) to exercise the retry/fallback machinery;
-  ``--json PATH`` dumps the full accounting as one machine-readable
-  document and ``--telemetry DIR`` writes trace/metrics artifacts;
+  ``--json PATH`` dumps the engine summary and dispatch history as one
+  machine-readable document and ``--telemetry DIR`` writes
+  trace/metrics artifacts;
 * ``trace``    — run a cluster scenario with telemetry always on and
   write ``trace.json`` (Perfetto-loadable), ``metrics.prom``
   (Prometheus text format), and ``timeline.json`` (per-device busy
@@ -61,11 +62,10 @@ from repro.core.baselines import (
     TimeSharingScheduler,
 )
 from repro.cluster import (
-    BatchSystem,
     ClusterState,
     CoSchedulingPolicy,
     FcfsPolicy,
-    JobState,
+    FleetEngine,
     PolicySelector,
 )
 from repro.core.evaluation import profile_all_benchmarks
@@ -90,7 +90,7 @@ from repro.telemetry import (
     write_artifacts,
 )
 from repro.workloads.generator import paper_queues
-from repro.workloads.jobs import Job
+from repro.workloads.jobs import Job, JobQueue
 from repro.workloads.suite import BENCHMARKS
 
 __all__ = ["main"]
@@ -321,7 +321,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 class _ClusterRun:
     """What ``_run_cluster_scenario`` hands back to the subcommands."""
 
-    bs: BatchSystem
+    engine: FleetEngine
     injector: FaultInjector | None
     recorder: object | None
     repository: ProfileRepository
@@ -330,8 +330,10 @@ class _ClusterRun:
 def _run_cluster_scenario(
     args: argparse.Namespace, telemetry: Telemetry, out=None
 ) -> _ClusterRun | None:
-    """Train the node-local agent, assemble the batch system, drain the
-    queue. Shared by ``cluster``/``trace``/``alerts``; returns ``None``
+    """Train the node-local agent, submit the queue to a fleet engine at
+    t=0 and drain it. Shared by ``cluster``/``trace``/``alerts``; exact
+    execution keeps the device spans and ``device.history`` their
+    timelines read. Returns ``None``
     (after printing a hint) for an unknown queue name. Progress lines go
     to ``out`` (stderr when ``--json -`` claims stdout for the document)."""
     out = out if out is not None else sys.stdout
@@ -375,25 +377,27 @@ def _run_cluster_scenario(
         injector = FaultInjector(
             FaultConfig.uniform(args.faults, seed=args.fault_seed)
         )
-    bs = BatchSystem(
-        cluster=ClusterState.homogeneous(args.gpus),
-        selector=selector,
+    engine = FleetEngine(
+        ClusterState.homogeneous(args.gpus),
+        selector,
         window_size=args.window,
-        min_batch=2,
         faults=injector,
         retry=RetryPolicy(max_retries=args.max_retries),
         max_retries=args.max_retries,
         telemetry=telemetry,
+        exact_execution=True,
+        keep_history=True,
     )
-    for name in names:
-        bs.sbatch(name)
+    engine.submit_queue(JobQueue.from_benchmarks(names), at=0.0)
     print(f"draining {len(names)} jobs over {args.gpus} GPUs ...", file=out)
-    bs.drain()
-    return _ClusterRun(bs, injector, recorder, result.repository)
+    engine.run()
+    return _ClusterRun(engine, injector, recorder, result.repository)
 
 
 def _cluster_document(
-    args: argparse.Namespace, bs: BatchSystem, injector: FaultInjector | None
+    args: argparse.Namespace,
+    engine: FleetEngine,
+    injector: FaultInjector | None,
 ) -> dict:
     """The machine-readable run summary behind ``cluster --json``."""
     return {
@@ -401,12 +405,14 @@ def _cluster_document(
         "gpus": args.gpus,
         "window_size": args.window,
         "fault_rate": args.faults,
-        "job_states": {s.value: len(bs.squeue(s)) for s in JobState},
-        "sacct": bs.sacct(),
-        "utilization": bs.cluster.utilization(),
+        "summary": engine.summary(),
+        "utilization": engine.cluster.utilization(),
         "fault_summary": injector.summary() if injector is not None else None,
-        "dispatch_history": [dataclasses.asdict(r) for r in bs.history],
-        "nodes": bs.sinfo(),
+        "dispatch_history": [dataclasses.asdict(r) for r in engine.history],
+        "nodes": [
+            {"node": n.name, "busy_until": n.available_at}
+            for n in engine.cluster.nodes
+        ],
     }
 
 
@@ -418,15 +424,18 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     run = _run_cluster_scenario(args, telemetry, out=out)
     if run is None:
         return 2
-    bs, injector = run.bs, run.injector
+    engine, injector = run.engine, run.injector
+    summary = engine.summary()
 
-    counts = {s.value: len(bs.squeue(s)) for s in JobState}
     print(
-        "\njob states: " + "  ".join(f"{k}={v}" for k, v in counts.items()),
+        "\njob states: "
+        + "  ".join(
+            f"{k}={summary[k]}" for k in ("completed", "failed", "pending")
+        ),
         file=out,
     )
     if args.json:
-        doc = _cluster_document(args, bs, injector)
+        doc = _cluster_document(args, engine, injector)
         if args.json == "-":
             json.dump(doc, sys.stdout, indent=1, sort_keys=True)
             sys.stdout.write("\n")
@@ -439,31 +448,29 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         paths = write_artifacts(
             telemetry,
             args.telemetry,
-            makespan=bs.cluster.makespan,
-            n_tracks=len(bs.cluster.nodes),
+            makespan=engine.cluster.makespan,
+            n_tracks=len(engine.cluster.nodes),
         )
         print("telemetry artifacts: " + "  ".join(paths.values()), file=out)
     if run.recorder is not None:
         _write_insight_artifacts(
             run.recorder, run.repository, args.insight, out=out
         )
-    acct = bs.sacct()
-    if acct["completed"] == 0:
+    if summary["completed"] == 0:
         print("no job completed (fault rate too high?)", file=out)
         return 1
     for key in (
         "completed",
         "failed",
-        "cancelled",
-        "job_retries",
+        "requeues",
         "dispatch_retries",
         "fallback_windows",
         "degraded_groups",
     ):
-        print(f"{key:<18s} {acct[key]:8d}", file=out)
+        print(f"{key:<18s} {summary[key]:8d}", file=out)
     for key in ("mean_wait", "mean_turnaround", "makespan"):
-        print(f"{key:<18s} {acct[key]:10.1f}s", file=out)
-    print(f"{'utilization':<18s} {bs.cluster.utilization():10.3f}", file=out)
+        print(f"{key:<18s} {summary[key]:10.1f}s", file=out)
+    print(f"{'utilization':<18s} {summary['utilization']:10.3f}", file=out)
     if injector is not None:
         inj = injector.summary()
         print(
@@ -479,18 +486,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     run = _run_cluster_scenario(args, telemetry)
     if run is None:
         return 2
-    bs, injector = run.bs, run.injector
+    cluster, injector = run.engine.cluster, run.injector
 
     paths = write_artifacts(
         telemetry,
         args.out,
-        makespan=bs.cluster.makespan,
-        n_tracks=len(bs.cluster.nodes),
+        makespan=cluster.makespan,
+        n_tracks=len(cluster.nodes),
     )
     tracer = telemetry.tracer
     timelines = device_timelines(tracer)
     util = utilization_from_timelines(
-        timelines, bs.cluster.makespan, len(bs.cluster.nodes)
+        timelines, cluster.makespan, len(cluster.nodes)
     )
     print(f"\ntrace: {len(tracer)} records on {len(tracer.tracks())} tracks"
           f" ({tracer.dropped} dropped)")
@@ -499,7 +506,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         n_events = len(tracer.events(track=track))
         print(f"  {track:<8s} {n_spans:4d} spans  {n_events:4d} events")
     print(f"utilization from timeline: {util:.3f} "
-          f"(cluster reports {bs.cluster.utilization():.3f})")
+          f"(cluster reports {cluster.utilization():.3f})")
     if injector is not None:
         inj = injector.summary()
         print("injected faults: " + "  ".join(f"{k}={v}" for k, v in inj.items()))
@@ -518,7 +525,7 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
     run = _run_cluster_scenario(args, telemetry)
     if run is None:
         return 2
-    bs = run.bs
+    cluster = run.engine.cluster
 
     alerts = AlertEngine(telemetry).scan()
     print()
@@ -533,8 +540,8 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
         paths = write_artifacts(
             telemetry,
             args.out,
-            makespan=bs.cluster.makespan,
-            n_tracks=len(bs.cluster.nodes),
+            makespan=cluster.makespan,
+            n_tracks=len(cluster.nodes),
         )
         print(
             "alert artifacts: "
@@ -548,12 +555,7 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.cluster.fleet import (
-        AdmitAll,
-        BoundedQueue,
-        FleetEngine,
-        TokenBucket,
-    )
+    from repro.cluster.fleet import AdmitAll, BoundedQueue, TokenBucket
     from repro.core.serving import DecisionCache
     from repro.hierarchy import (
         JointTrainer,
@@ -930,11 +932,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cluster",
-        help="drain a queue through the Slurm-like batch system",
+        help="drain a queue over a multi-GPU cluster through the fleet "
+             "engine",
     )
     add_cluster_args(p)
     p.add_argument("--json", metavar="PATH",
-                   help="dump accounting, job states, utilization, fault "
+                   help="dump the engine summary, utilization, fault "
                         "summary, and dispatch history as one JSON document "
                         "('-' for stdout)")
     p.add_argument("--telemetry", metavar="DIR",

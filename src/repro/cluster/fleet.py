@@ -1,21 +1,20 @@
-"""Discrete-event fleet simulation core (datacenter-scale dispatch).
+"""Discrete-event fleet simulation core: the one dispatch loop.
 
-The per-window loops in :mod:`repro.cluster.scheduler` and
-:mod:`repro.cluster.batch` are faithful to the paper's two-level
-scheduler but advance time by scanning every node and nudging a float
-clock — fine for a handful of GPUs, hopeless for the
+Section VI of the paper adds node/GPU selection above the node-local
+agent: each window goes to the GPU that frees up first. This module runs
+that level for every caller — the ``cluster``/``trace``/``alerts`` and
+``fleet`` subcommands, the examples and the benchmark — as a
+priority-queue **event heap** on the simulated clock, built for the
 reconfigurable-machine-scheduling setting of Tan et al. (serving on
 partitionable MIG accelerators) at thousands of nodes and millions of
-arrivals. This module is the scalable core: a priority-queue **event
-heap** on the simulated clock carrying
+arrivals. The heap carries
 
 * **job arrivals** (closed submissions or open-loop
   :mod:`repro.workloads.arrivals` processes),
 * **window completions** (a node's occupancy drains; the node rejoins
   the idle pool),
 * **requeues** (a crashed job re-enters the queue *at its failure
-  time*, not at dispatch time — the event heap fixes the old loops'
-  time-travelling requeue),
+  time*, not at dispatch time — no time-travelling requeue),
 * **reconfigurations and faults** (planned repartition pauses and node
   outages that push a node's availability horizon),
 * **checkpoints** (periodic statistics snapshots).
@@ -24,18 +23,20 @@ Time always jumps to the next event — there is no epsilon stepping, so
 the engine keeps making progress at arbitrarily large simulated clocks
 (see :func:`repro.clock.time_le` for the tolerance story).
 
-Dispatch semantics are the batch system's: each round cuts one window
-per idle GPU, selects the per-window policy by crowding, and schedules
-the whole round through :meth:`PolicySelector.schedule_batch` — one
-batched serving pass (lockstep inference plus the fleet-wide decision
-cache) per round. Execution replays the already-simulated schedule via
-:meth:`GpuNode.execute_schedule_fast` (bitwise-identical outcomes to
-the exact path, minus device state-machine overhead); pass
-``exact_execution=True`` to drive the full MIG/MPS state machines
-instead. On small clusters the engine's dispatch log is
-bitwise-identical to :class:`ClusterScheduler`/:class:`BatchSystem`
-(the fingerprint tests pin this), which is what makes the old loops'
-semantics the correctness oracle for the new core.
+Each dispatch round cuts one window per idle GPU (FIFO from the queue
+head, the paper's window semantics), selects the per-window policy by
+crowding, and schedules the whole round through
+:meth:`PolicySelector.schedule_batch` — one batched serving pass
+(lockstep inference plus the fleet-wide decision cache) per round. A
+window whose policy raises falls back to FCFS. Execution replays the
+already-simulated schedule via :meth:`GpuNode.execute_schedule_fast`
+(bitwise-identical outcomes to the exact path, minus device
+state-machine overhead); ``exact_execution=True`` drives the full
+MIG/MPS state machines instead, which keeps ``device.history`` and the
+device-level telemetry spans that timelines are built from. Golden
+dispatch digests in the fleet tests pin the loop's records and
+schedules; a stateful property model checks its conservation, time and
+slicing invariants.
 
 Open-loop operation adds **admission control**: an
 :class:`AdmissionPolicy` sees every arrival and may shed it
@@ -74,12 +75,12 @@ from repro.obs.trace import LifecycleTracer
 from repro.telemetry.facade import NULL_TELEMETRY, Telemetry
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import PolicySelector
-from repro.cluster.scheduler import DispatchRecord
 from repro.power.model import PowerModel
 from repro.workloads.jobs import Job
 from repro.workloads.suite import PAPER_CLASSES
 
 __all__ = [
+    "DispatchRecord",
     "EventKind",
     "EventHeap",
     "AdmissionPolicy",
@@ -107,6 +108,21 @@ def window_signature(names) -> str:
 
 #: windows per dispatch round (batched-serving batch size)
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+
+@dataclass(frozen=True)
+class DispatchRecord:
+    """One window dispatched to one GPU."""
+
+    node_name: str
+    policy_name: str
+    window_size: int
+    start_time: float
+    end_time: float
+    throughput_gain: float
+    retries: int = 0  # device-level retries spent on this window
+    fell_back: bool = False  # policy raised; FCFS scheduled the window
+    n_failed: int = 0  # jobs that crashed during this window
 
 
 class EventKind(enum.IntEnum):
@@ -586,8 +602,7 @@ class FleetEngine:
 
         Every iteration pops the *batch* of events sharing the next
         timestamp, applies them, and runs one dispatch round — so nodes
-        freed at the same instant share one batched serving pass,
-        exactly like the old loops' rounds.
+        freed at the same instant share one batched serving pass.
         """
         events = self.events
         timers = self.profile
@@ -887,11 +902,10 @@ class FleetEngine:
     def _dispatch_round(self) -> int:
         """Cut one window per ready idle GPU and run the round.
 
-        Mirrors the batch system's round semantics (same policy
-        selection arguments, same window cuts) so small-fleet dispatch
-        logs are bitwise-comparable to the old loops. Once all arrival
-        sources are dry, the last partial window dispatches regardless
-        of ``min_batch`` — the drain semantics.
+        Policy selection sees the queue depth before each cut and the
+        GPUs still free in the round. Once all arrival sources are dry,
+        the last partial window dispatches regardless of ``min_batch``
+        — the drain semantics.
         """
         if self._node_pending is not None:
             return self._dispatch_round_placed()
@@ -907,7 +921,7 @@ class FleetEngine:
             remaining -= min(self.window_size, remaining)
             cuts_possible += 1
         # pop that many live idle nodes, earliest-available first, then
-        # cut in node order (the old loops' round order)
+        # cut in node order
         entries: list[tuple[float, int, int]] = []
         while self._idle and len(entries) < cuts_possible:
             avail, index, gen = heapq.heappop(self._idle)
@@ -994,9 +1008,17 @@ class FleetEngine:
         node = self.cluster.nodes[index]
         stats = self.stats
         timers = self.profile
+        start = max(self.now, node.available_at)
         if fell_back:
             stats.fallback_windows += 1
-        start = max(self.now, node.available_at)
+            if self.telemetry.enabled:
+                self.telemetry.event(
+                    "fallback",
+                    node.name,
+                    start,
+                    category="fleet",
+                    policy=self.selector.fcfs.name,
+                )
         node.device.clock = start
         t0 = timers.clock() if timers is not None else 0.0
         if self.exact_execution:
@@ -1046,11 +1068,19 @@ class FleetEngine:
                     self._live_requeues += 1
                     # the crash happens at the job's failure time; the
                     # job re-enters the queue *then*, not retroactively
+                    crash_time = outcome.finish_of[jid]
                     self.events.push(
-                        outcome.finish_of[jid],
-                        EventKind.REQUEUE,
-                        (job, submit_time),
+                        crash_time, EventKind.REQUEUE, (job, submit_time)
                     )
+                    if self.telemetry.enabled:
+                        self.telemetry.event(
+                            "requeue",
+                            node.name,
+                            crash_time,
+                            category="fleet",
+                            job=job.benchmark_name,
+                            attempt=attempts + 1,
+                        )
                     if terminal is not None:
                         terminal.append((job, submit_time, "requeue"))
                 else:

@@ -1,11 +1,12 @@
 """Deterministic, mergeable quantile sketch (DDSketch-style).
 
-The Algorithm-R reservoirs in :mod:`repro.telemetry.registry` are exact
-only while a series holds fewer samples than the reservoir — at the
-200K-arrival fleet scale a p99 read off 512 retained samples is a
-lottery, and two reservoirs cannot be merged. This module is the
-streaming replacement: a log-bucketed sketch with a *relative-error
-guarantee* that is
+The repository's one quantile mechanism — behind the fleet's wait
+percentiles, :class:`repro.telemetry.registry.SketchMetric` and every
+:class:`repro.telemetry.registry.Histogram` series. A sampled reservoir
+is exact only while it holds every sample (at the 200K-arrival fleet
+scale a p99 read off 512 retained samples is a lottery) and two
+reservoirs cannot be merged; this is a log-bucketed sketch with a
+*relative-error guarantee* that is
 
 * **deterministic** — pure bucket arithmetic, no RNG, no wall clock
   (statcheck DET001/DET002 clean by construction);
@@ -29,9 +30,8 @@ values mirror into a second bucket store; values with
 exactly-tracked ``[minimum, maximum]``, and ``q=0`` / ``q=1`` return
 those exact extremes.
 
-The rank convention matches the registry's reservoir quantile: the
-estimate covers the order statistic at index ``floor(q * (count - 1))``
-of the sorted stream.
+The rank convention: the estimate covers the order statistic at index
+``floor(q * (count - 1))`` of the sorted stream.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """repro.telemetry — tracing, metrics, and timeline export.
 
-The observability subsystem for the scheduler, devices, and trainer:
+The observability subsystem for the fleet engine, devices, and trainer:
 
 * :mod:`repro.telemetry.registry` — labeled counters/gauges/histograms
   behind a thread-safe :class:`MetricsRegistry` (plus a process-global
@@ -20,7 +20,7 @@ Quick use::
     from repro.telemetry import Telemetry, write_artifacts
 
     tel = Telemetry()
-    bs = BatchSystem(cluster, selector, telemetry=tel)
+    engine = FleetEngine(cluster, selector, telemetry=tel)
     ...
     write_artifacts(tel, "out/")   # trace.json + metrics.prom + timeline.json
 """

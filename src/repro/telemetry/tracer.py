@@ -2,7 +2,7 @@
 
 Unlike a wall-clock tracer, every timestamp here is supplied by the
 caller from the simulation's own time base (``SimulatedGpu.clock``,
-``BatchSystem.now``). Spans are recorded *complete* — the simulation
+``FleetEngine.now``). Spans are recorded *complete* — the simulation
 always knows both endpoints of an interval when it happens — which
 keeps the API a single call and makes the tracer trivially
 deterministic: identical runs produce identical traces.

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SchedulingError
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import CoSchedulingPolicy, FcfsPolicy, PolicySelector
-from repro.cluster.scheduler import ClusterScheduler
+from repro.cluster.fleet import FleetEngine
 from repro.core.actions import ActionCatalog
 from repro.core.optimizer import OnlineOptimizer
 from repro.workloads.generator import MixCategory, QueueGenerator
@@ -90,7 +90,19 @@ class TestPolicies:
         assert sched.throughput_gain >= 1.0 - 1e-9
 
 
-class TestClusterScheduler:
+class TestFleetDispatch:
+    """The cluster level through the fleet engine: each window goes to
+    the GPU that frees up first."""
+
+    @staticmethod
+    def drain(selector, n_gpus: int, w: int, queue: JobQueue):
+        engine = FleetEngine(
+            ClusterState.homogeneous(n_gpus), selector,
+            window_size=w, keep_history=True,
+        )
+        engine.submit_queue(queue)
+        return engine.run()
+
     def test_drains_queue_and_balances(self, small_optimizer, tiny_training):
         trainer, _ = tiny_training
         w = trainer.window_size
@@ -99,16 +111,13 @@ class TestClusterScheduler:
             fcfs=FcfsPolicy(),
             crowding_threshold=1,  # always co-schedule
         )
-        cluster = ClusterState.homogeneous(2)
-        sched = ClusterScheduler(cluster=cluster, selector=sel, window_size=w)
-        records = sched.run(backlog(4, w))
-        assert len(records) == 4
-        nodes_used = {r.node_name for r in records}
+        result = self.drain(sel, 2, w, backlog(4, w))
+        assert len(result.history) == 4
+        nodes_used = {r.node_name for r in result.history}
         assert len(nodes_used) == 2  # both GPUs got work
-        summary = sched.summary()
-        assert summary["windows_dispatched"] == 4
-        assert summary["makespan"] == pytest.approx(cluster.makespan)
-        assert summary["mean_window_gain"] >= 1.0 - 1e-9
+        assert result.stats.windows == 4
+        assert result.stats.completed == 4 * w
+        assert all(r.throughput_gain >= 1.0 - 1e-9 for r in result.history)
 
     def test_partial_final_window(self, small_optimizer, tiny_training):
         trainer, _ = tiny_training
@@ -117,23 +126,10 @@ class TestClusterScheduler:
             co_scheduling=CoSchedulingPolicy(small_optimizer),
             fcfs=FcfsPolicy(),
         )
-        cluster = ClusterState.homogeneous(1)
-        sched = ClusterScheduler(cluster=cluster, selector=sel, window_size=w)
         q = backlog(1, w)
         q.push(q.jobs[0])  # w + 1 jobs -> second window of size 1
-        records = sched.run(JobQueue(jobs=list(q.jobs)))
-        assert records[-1].window_size in (1, w)
-        assert sum(r.window_size for r in records) == w + 1
-
-    def test_summary_requires_history(self, small_optimizer):
-        sel = PolicySelector(
-            co_scheduling=CoSchedulingPolicy(small_optimizer), fcfs=FcfsPolicy()
-        )
-        sched = ClusterScheduler(
-            cluster=ClusterState.homogeneous(1), selector=sel
-        )
-        with pytest.raises(SchedulingError):
-            sched.summary()
+        result = self.drain(sel, 1, w, JobQueue(jobs=list(q.jobs)))
+        assert [r.window_size for r in result.history] == [w, 1]
 
     def test_fcfs_vs_coscheduling_makespan(self, small_optimizer, tiny_training):
         trainer, _ = tiny_training
@@ -148,12 +144,6 @@ class TestClusterScheduler:
             fcfs=FcfsPolicy(),
             crowding_threshold=10**9,
         )
-        co = ClusterScheduler(
-            cluster=ClusterState.homogeneous(2), selector=co_sel, window_size=w
-        )
-        fc = ClusterScheduler(
-            cluster=ClusterState.homogeneous(2), selector=fc_sel, window_size=w
-        )
-        co.run(backlog(4, w, seed=9))
-        fc.run(backlog(4, w, seed=9))
+        co = self.drain(co_sel, 2, w, backlog(4, w, seed=9))
+        fc = self.drain(fc_sel, 2, w, backlog(4, w, seed=9))
         assert co.makespan <= fc.makespan + 1e-9

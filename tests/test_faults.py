@@ -16,11 +16,9 @@ from repro.errors import (
 )
 from repro.faults import FaultConfig, FaultInjector, FaultKind, RetryPolicy
 from repro.cluster import (
-    BatchSystem,
-    ClusterScheduler,
     ClusterState,
     FcfsPolicy,
-    JobState,
+    FleetEngine,
     PolicySelector,
 )
 from repro.gpu.device import SimulatedGpu
@@ -33,8 +31,6 @@ PROGRAMS = [
     "stream", "kmeans", "lud_B", "lavaMD", "hotspot3D",
     "needle", "stream", "kmeans",
 ]
-
-TERMINAL = {JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED}
 
 
 class RaisingPolicy:
@@ -54,17 +50,24 @@ def fcfs_selector(co_scheduling=None, crowding=10**9) -> PolicySelector:
     )
 
 
-def make_batch(
-    faults=None, max_retries=3, selector=None, n_gpus=2, window_size=6
-) -> BatchSystem:
-    return BatchSystem(
-        cluster=ClusterState.homogeneous(n_gpus),
-        selector=selector or fcfs_selector(),
+def drain(
+    programs, faults=None, max_retries=3, selector=None, n_gpus=2,
+    window_size=6, at=0.0,
+) -> FleetEngine:
+    """Submit ``programs`` at ``at`` and drain them on the exact
+    (device state machine) execution path."""
+    engine = FleetEngine(
+        ClusterState.homogeneous(n_gpus),
+        selector or fcfs_selector(),
         window_size=window_size,
-        min_batch=1,
         faults=faults,
         max_retries=max_retries,
+        exact_execution=True,
+        keep_history=True,
     )
+    engine.submit_queue(JobQueue.from_benchmarks(list(programs)), at=at)
+    engine.run()
+    return engine
 
 
 class TestInjectorDeterminism:
@@ -188,170 +191,105 @@ class TestUtilizationAccounting:
         # second node deliberately idle
         assert cluster.utilization() == pytest.approx(0.5)
 
-    def test_batch_system_utilization_stays_below_one_with_gaps(self):
-        bs = make_batch()
-        bs.tick(100.0)  # nothing submitted: pure idle time
-        for p in PROGRAMS[:4]:
-            bs.sbatch(p)
-        bs.drain()
-        busy = sum(n.busy_time for n in bs.cluster.nodes)
-        span = bs.cluster.makespan
+    def test_engine_utilization_stays_below_one_with_gaps(self):
+        # nothing is submitted before t=100: pure idle time
+        engine = drain(PROGRAMS[:4], at=100.0)
+        cluster = engine.cluster
+        busy = sum(n.busy_time for n in cluster.nodes)
+        span = cluster.makespan
         assert span > 100.0
-        assert bs.cluster.utilization() == pytest.approx(
-            busy / (span * len(bs.cluster.nodes))
+        assert cluster.utilization() == pytest.approx(
+            busy / (span * len(cluster.nodes))
         )
-        assert bs.cluster.utilization() < 0.9
-
-
-class TestScancelAccounting:
-    def test_cancelled_record_survives(self):
-        bs = make_batch()
-        jid = bs.sbatch("stream")
-        bs.scancel(jid)
-        records = bs.squeue()
-        assert len(records) == 1
-        assert records[0].state is JobState.CANCELLED
-        with pytest.raises(SchedulingError):
-            bs.scancel(jid)  # no longer pending
-
-    def test_cancelled_excluded_from_means(self):
-        bs = make_batch()
-        for p in PROGRAMS[:4]:
-            bs.sbatch(p)
-        victim = bs.sbatch("lud_B")
-        bs.scancel(victim)
-        bs.drain()
-        acct = bs.sacct()
-        assert acct["completed"] == 4
-        assert acct["cancelled"] == 1
-        # means come from the four completed jobs only
-        done = bs.squeue(JobState.COMPLETED)
-        assert acct["mean_turnaround"] == pytest.approx(
-            sum(r.turnaround for r in done) / len(done)
-        )
+        assert cluster.utilization() < 0.9
 
 
 class TestFaultTolerantDrain:
     def drain_once(self, seed=11, rate=0.2, max_retries=2):
         inj = FaultInjector(FaultConfig.uniform(rate, seed=seed))
-        bs = make_batch(faults=inj, max_retries=max_retries)
-        for p in PROGRAMS:
-            bs.sbatch(p)
-        bs.drain()
-        return bs, inj
+        return drain(PROGRAMS, faults=inj, max_retries=max_retries), inj
 
     def test_no_job_lost_under_faults(self):
-        bs, inj = self.drain_once()
-        records = bs.squeue()
-        assert len(records) == len(PROGRAMS)
-        assert {r.state for r in records} <= TERMINAL
-        acct = bs.sacct()
-        assert acct["completed"] + acct["failed"] == len(PROGRAMS)
+        engine, inj = self.drain_once()
+        stats = engine.stats
+        assert stats.submitted == len(PROGRAMS)
+        assert stats.completed + stats.failed == len(PROGRAMS)
+        assert engine.pending_depth == 0
         assert sum(inj.counts.values()) > 0  # faults actually fired
 
     def test_bit_reproducible_for_fixed_seed(self):
         first, _ = self.drain_once(seed=11)
         second, _ = self.drain_once(seed=11)
-        assert first.sacct() == second.sacct()
-        assert [r.state for r in first.squeue()] == [
-            r.state for r in second.squeue()
-        ]
-        assert [r.end_time for r in first.squeue()] == [
-            r.end_time for r in second.squeue()
-        ]
+        assert first.summary() == second.summary()
+        assert first.history == second.history
 
     def test_zero_rate_injector_matches_no_injector(self):
         """Disabled fault injection is bitwise-identical to no injector."""
-        plain = make_batch()
-        zeroed = make_batch(faults=FaultInjector(FaultConfig(seed=5)))
-        for bs in (plain, zeroed):
-            for p in PROGRAMS:
-                bs.sbatch(p)
-            bs.drain()
-        keys = ("completed", "mean_wait", "mean_turnaround", "makespan")
-        a, b = plain.sacct(), zeroed.sacct()
-        assert all(a[k] == b[k] for k in keys)
-        assert [r.end_time for r in plain.squeue()] == [
-            r.end_time for r in zeroed.squeue()
-        ]
+        plain = drain(PROGRAMS)
+        zeroed = drain(PROGRAMS, faults=FaultInjector(FaultConfig(seed=5)))
+        assert plain.summary() == zeroed.summary()
+        assert plain.history == zeroed.history
 
     def test_retry_cap_lands_in_failed(self):
         inj = FaultInjector(FaultConfig(job_failure_rate=1.0, seed=0))
-        bs = make_batch(faults=inj, max_retries=2)
-        for p in PROGRAMS[:3]:
-            bs.sbatch(p)
-        bs.drain()  # must terminate despite 100% crash rate
-        records = bs.squeue()
-        assert all(r.state is JobState.FAILED for r in records)
-        assert all(r.retries == 2 for r in records)
-        acct = bs.sacct()  # nothing completed -> zero-filled, not raising
-        assert acct["completed"] == 0
-        assert acct["failed"] == 3
-        assert acct["mean_turnaround"] == 0.0
+        # must terminate despite a 100% crash rate
+        stats = drain(PROGRAMS[:3], faults=inj, max_retries=2).stats
+        assert stats.failed == 3
+        assert stats.requeues == 3 * 2
+        assert stats.completed == 0
+        assert stats.mean_turnaround == 0.0  # zero-filled, not raising
 
     def test_transient_faults_retried_with_backoff(self):
         inj = FaultInjector(
             FaultConfig(transient_rate=0.5, seed=3)
         )
-        bs = make_batch(faults=inj, max_retries=3)
-        for p in PROGRAMS:
-            bs.sbatch(p)
-        bs.drain()
-        assert {r.state for r in bs.squeue()} <= TERMINAL
-        assert bs.sacct()["dispatch_retries"] > 0
+        stats = drain(PROGRAMS, faults=inj, max_retries=3).stats
+        assert stats.completed + stats.failed == len(PROGRAMS)
+        assert stats.dispatch_retries > 0
 
     def test_optimizer_failure_falls_back_to_fcfs(self):
-        # crowding_threshold=0-ish: always pick the (raising) co-policy
+        # crowding 1: always pick the (raising) co-policy
         selector = fcfs_selector(co_scheduling=RaisingPolicy(), crowding=1)
-        bs = make_batch(selector=selector)
-        for p in PROGRAMS:
-            bs.sbatch(p)
-        bs.drain()
-        acct = bs.sacct()
-        assert acct["fallback_windows"] > 0
-        assert acct["completed"] == len(PROGRAMS)
-        assert {r.state for r in bs.squeue()} == {JobState.COMPLETED}
+        engine = drain(PROGRAMS, selector=selector)
+        assert engine.stats.fallback_windows > 0
+        assert engine.stats.completed == len(PROGRAMS)
+        assert all(r.fell_back for r in engine.history)
 
 
-class TestClusterSchedulerFaults:
+class TestFleetFallbackAndRequeue:
     def run_queue(self, **kwargs):
-        sched = ClusterScheduler(
-            cluster=ClusterState.homogeneous(2),
-            selector=fcfs_selector(**{
-                k: kwargs.pop(k) for k in ("co_scheduling", "crowding")
-                if k in kwargs
-            }),
-            window_size=4,
-            **kwargs,
-        )
-        records = sched.run(JobQueue.from_benchmarks(list(PROGRAMS)))
-        return sched, records
+        selector = fcfs_selector(**{
+            k: kwargs.pop(k) for k in ("co_scheduling", "crowding")
+            if k in kwargs
+        })
+        engine = drain(PROGRAMS, selector=selector, window_size=4, **kwargs)
+        return engine, engine.history
 
     def test_fallback_recorded(self):
-        sched, records = self.run_queue(co_scheduling=RaisingPolicy(), crowding=1)
+        engine, records = self.run_queue(
+            co_scheduling=RaisingPolicy(), crowding=1
+        )
         assert all(r.fell_back for r in records)
         assert all(r.policy_name == "FCFS" for r in records)
-        assert sched.summary()["windows_fell_back"] == len(records)
+        assert engine.stats.fallback_windows == len(records)
 
     def test_failed_jobs_requeue_then_surface(self):
         inj = FaultInjector(FaultConfig(job_failure_rate=1.0, seed=1))
-        sched, records = self.run_queue(faults=inj, max_retries=1)
-        # every job crashed on every attempt: all end in failed_jobs
-        assert len(sched.failed_jobs) == len(PROGRAMS)
-        assert sched.summary()["jobs_failed"] == len(PROGRAMS)
+        engine, records = self.run_queue(faults=inj, max_retries=1)
+        # every job crashed on every attempt: all end failed
+        assert engine.stats.failed == len(PROGRAMS)
         # each job got exactly 1 + max_retries attempts
         total_attempts = sum(r.window_size for r in records)
         assert total_attempts == len(PROGRAMS) * 2
 
     def test_no_faults_records_are_clean(self):
-        sched, records = self.run_queue()
+        engine, records = self.run_queue()
         assert all(
             r.retries == 0 and not r.fell_back and r.n_failed == 0
             for r in records
         )
-        s = sched.summary()
-        assert s["dispatch_retries"] == 0
-        assert s["jobs_failed"] == 0
+        assert engine.stats.dispatch_retries == 0
+        assert engine.stats.failed == 0
 
 
 class TestCheckpointHardening:

@@ -7,11 +7,10 @@ Three layers of coverage:
 * behavior — dispatch/outage/checkpoint semantics of
   :class:`FleetEngine` on cheap FCFS-only selectors (no training);
 * identity — on small clusters the engine's dispatch records and
-  schedule fingerprints must be *bitwise* equal to the pre-existing
-  :class:`ClusterScheduler` / :class:`BatchSystem` loops (the
-  correctness oracle for the rebased time arithmetic), and the fast
-  schedule replay must match the exact fault-tolerant executor float
-  for float.
+  schedule fingerprints must equal golden digests, recorded while the
+  engine still matched the two earlier per-window dispatch loops bit
+  for bit, and the fast schedule replay must match the exact
+  fault-tolerant executor float for float.
 
 The accounting property tests run the same invariant — every submitted
 job ends in a terminal state — under heavy fault injection at both
@@ -28,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clock import time_close, time_le, time_lt
-from repro.cluster.batch import BatchSystem, JobState
 from repro.cluster.fleet import (
     AdmitAll,
     BoundedQueue,
@@ -39,10 +37,9 @@ from repro.cluster.fleet import (
 )
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import CoSchedulingPolicy, FcfsPolicy, PolicySelector
-from repro.cluster.scheduler import ClusterScheduler
 from repro.core.actions import ActionCatalog
 from repro.core.optimizer import OnlineOptimizer
-from repro.core.serving import DecisionCache, schedule_fingerprint
+from repro.core.serving import DecisionCache
 from repro.errors import ConfigurationError, SchedulingError
 from repro.faults import FaultConfig, FaultInjector
 from repro.workloads.arrivals import (
@@ -53,6 +50,7 @@ from repro.workloads.arrivals import (
 from repro.workloads.generator import MixCategory, QueueGenerator
 from repro.workloads.jobs import Job, JobQueue
 from repro.workloads.traces import JobTrace, TraceEvent
+from tests.digests import dispatch_digest
 
 pytestmark = pytest.mark.fleet
 
@@ -111,24 +109,6 @@ def backlog_names(n_windows: int, w: int = 6, seed: int = 5) -> list[str]:
     for _ in range(n_windows):
         names.extend(gen.queue(MixCategory.BALANCED, w=w).benchmark_names)
     return names
-
-
-class _RecordingSelector:
-    """Wraps a selector, logging every schedule the rounds produce."""
-
-    def __init__(self, inner: PolicySelector):
-        self.inner = inner
-        self.fcfs = inner.fcfs
-        self.co_scheduling = inner.co_scheduling
-        self.schedules: list = []
-
-    def select(self, queue_depth: int, free_gpus: int):
-        return self.inner.select(queue_depth, free_gpus)
-
-    def schedule_batch(self, cuts):
-        out = self.inner.schedule_batch(cuts)
-        self.schedules.extend(s for s, _ in out)
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +306,18 @@ class TestFleetEngine:
         result = engine.run()
         assert result.stats.completed == 2
 
+    def test_min_batch_holds_a_partial_window_while_work_is_incoming(self):
+        engine = FleetEngine(
+            ClusterState.homogeneous(2), fcfs_selector(), min_batch=2,
+        )
+        engine.attach_arrivals([(0.0, "stream"), (50.0, "kmeans")])
+        engine.run(until=10.0)
+        assert engine.stats.windows == 0  # one job waits for a second
+        assert engine.pending_depth == 1
+        engine.run()
+        assert engine.stats.windows == 1
+        assert engine.stats.completed == 2
+
     def test_run_until_horizon_leaves_future_events(self):
         engine = FleetEngine(ClusterState.homogeneous(1), fcfs_selector())
         engine.submit(Job.submit("stream"), at=5.0)
@@ -518,30 +510,9 @@ def fault_configs(draw):
 class TestAccountingInvariants:
     @settings(max_examples=12, deadline=None)
     @given(config=fault_configs(), offset=st.sampled_from([0.0, LARGE_OFFSET]))
-    def test_batch_system_terminal_states(self, config, offset):
-        """The old loop (rebased drain): every submission ends terminal,
-        at t=0 and at a clock offset where the old epsilon nudge froze."""
-        system = BatchSystem(
-            ClusterState.homogeneous(2), fcfs_selector(),
-            window_size=3, min_batch=2,
-            faults=FaultInjector(config), max_retries=2,
-        )
-        if offset:
-            system.tick(offset)
-        ids = [system.sbatch(name) for name in POOL * 3]
-        system.scancel(ids[0])
-        system.drain()
-        states = {r.state for r in system.squeue()}
-        assert states <= {
-            JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED,
-        }
-        acct = system.sacct()
-        assert acct["completed"] + acct["failed"] + acct["cancelled"] == 12
-
-    @settings(max_examples=12, deadline=None)
-    @given(config=fault_configs(), offset=st.sampled_from([0.0, LARGE_OFFSET]))
     def test_fleet_engine_terminal_states(self, config, offset):
-        """The event engine: same invariant, same clock offsets."""
+        """Every submission ends terminal, at t=0 and at a clock offset
+        where an absolute epsilon nudge would freeze the clock."""
         engine = FleetEngine(
             ClusterState.homogeneous(2), fcfs_selector(),
             window_size=3, faults=FaultInjector(config), max_retries=2,
@@ -556,53 +527,41 @@ class TestAccountingInvariants:
 
 
 # ----------------------------------------------------------------------
-# bitwise identity with the pre-existing dispatch loops
+# golden dispatch digests
 # ----------------------------------------------------------------------
+#: dispatch_digest of each scenario's engine run, recorded while the
+#: engine's records and schedules still equalled the earlier
+#: one-window-per-free-GPU loops bit for bit (8 windows of 6 jobs over
+#: 3 GPUs, submitted at once)
+GOLDEN_DISPATCH = {
+    "crowding-1": "f188133c3c26efb5",
+    "crowding-4": "f188133c3c26efb5",
+    "drain-offset-0": "f188133c3c26efb5",
+    f"drain-offset-{LARGE_OFFSET:.0f}": "b3e35e205e9452ec",
+}
+
+
 class TestDispatchIdentity:
     @pytest.mark.parametrize("crowding_threshold", [1, 4])
     def test_matches_cluster_scheduler(
         self, selector_factory, crowding_threshold
     ):
-        names = backlog_names(8)
-        jobs = [Job.submit(name) for name in names]
-
-        recording = _RecordingSelector(selector_factory(crowding_threshold))
-        oracle = ClusterScheduler(
-            cluster=ClusterState.homogeneous(3),
-            selector=recording,  # type: ignore[arg-type]
-            window_size=6,
-        )
-        oracle_records = oracle.run(JobQueue(jobs=list(jobs)))
-
         engine = FleetEngine(
             ClusterState.homogeneous(3),
             selector_factory(crowding_threshold),
             window_size=6, keep_history=True,
         )
-        for job in jobs:
-            engine.submit(job, at=0.0)
+        engine.submit_queue(JobQueue.from_benchmarks(backlog_names(8)), at=0.0)
         result = engine.run()
 
-        assert result.history == oracle_records  # float-for-float
-        assert [schedule_fingerprint(s) for s in result.schedules] == [
-            schedule_fingerprint(s) for s in recording.schedules
-        ]
-        assert result.makespan == oracle.makespan
+        assert len(result.history) == 8
+        assert dispatch_digest(result.history, result.schedules) == (
+            GOLDEN_DISPATCH[f"crowding-{crowding_threshold}"]
+        )
 
     @pytest.mark.parametrize("offset", [0.0, LARGE_OFFSET])
     def test_matches_batch_system_drain(self, selector_factory, offset):
         names = backlog_names(8)
-
-        system = BatchSystem(
-            ClusterState.homogeneous(3), selector_factory(1),
-            window_size=6, min_batch=2,
-        )
-        if offset:
-            system.tick(offset)
-        for name in names:
-            system.sbatch(name)
-        system.drain()
-
         engine = FleetEngine(
             ClusterState.homogeneous(3), selector_factory(1),
             window_size=6, min_batch=2, start=offset, keep_history=True,
@@ -611,8 +570,10 @@ class TestDispatchIdentity:
             engine.submit(Job.submit(name), at=offset)
         result = engine.run()
 
-        assert result.history == system.history  # float-for-float
         assert result.stats.completed == len(names)
+        assert dispatch_digest(result.history, result.schedules) == (
+            GOLDEN_DISPATCH[f"drain-offset-{offset:.0f}"]
+        )
 
     def test_faulty_runs_stay_identical_across_executors(
         self, selector_factory

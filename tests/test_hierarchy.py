@@ -10,9 +10,8 @@ Coverage layers:
 * determinism — same seed implies a byte-identical placement trace,
   the PR's headline reproducibility contract;
 * neutrality — with placement off, the fleet dispatch path stays
-  bitwise-identical to the :class:`ClusterScheduler` oracle, and
-  attaching a :class:`PowerModel` changes accounting only, never a
-  schedule float;
+  bitwise-identical to its golden digest, and attaching a
+  :class:`PowerModel` changes accounting only, never a schedule float;
 * integration — a tiny :class:`JointTrainer` run end to end, with the
   checkpoint round-trip through :mod:`repro.rl.checkpoint`.
 """
@@ -27,7 +26,6 @@ from hypothesis import strategies as st
 from repro.cluster.fleet import FleetEngine
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import CoSchedulingPolicy, FcfsPolicy, PolicySelector
-from repro.cluster.scheduler import ClusterScheduler
 from repro.core.actions import ActionCatalog
 from repro.core.optimizer import OnlineOptimizer
 from repro.core.serving import DecisionCache, schedule_fingerprint
@@ -55,6 +53,7 @@ from repro.rl.replay import PrioritizedReplayBuffer, ReplayBuffer, SumTree
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.generator import MixCategory, QueueGenerator
 from repro.workloads.jobs import Job
+from tests.digests import dispatch_digest
 
 pytestmark = pytest.mark.hierarchy
 
@@ -461,52 +460,26 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 # neutrality: flag-off dispatch and accounting-only energy
 # ----------------------------------------------------------------------
-class _RecordingSelector:
-    def __init__(self, inner: PolicySelector):
-        self.inner = inner
-        self.fcfs = inner.fcfs
-        self.co_scheduling = inner.co_scheduling
-        self.schedules: list = []
-
-    def select(self, queue_depth: int, free_gpus: int):
-        return self.inner.select(queue_depth, free_gpus)
-
-    def schedule_batch(self, cuts):
-        out = self.inner.schedule_batch(cuts)
-        self.schedules.extend(s for s, _ in out)
-        return out
-
-
 class TestNeutrality:
     def test_flag_off_is_bitwise_identical_to_oracle(self, selector_factory):
-        from repro.workloads.jobs import JobQueue
-
-        jobs = [Job.submit(name) for name in backlog_names(4)]
-        recording = _RecordingSelector(selector_factory())
-        oracle = ClusterScheduler(
-            cluster=ClusterState.homogeneous(2),
-            selector=recording,  # type: ignore[arg-type]
-            window_size=6,
-        )
-        oracle_records = oracle.run(JobQueue(jobs=list(jobs)))
-
+        """The digest was recorded while the placement-free engine still
+        equalled the earlier one-window-per-free-GPU loop bit for bit."""
         engine = FleetEngine(
             ClusterState.homogeneous(2),
             selector_factory(),
             window_size=6,
             keep_history=True,
         )
-        for job in jobs:
-            engine.submit(job, at=0.0)
+        for name in backlog_names(4):
+            engine.submit(Job.submit(name), at=0.0)
         result = engine.run()
 
         assert engine.placement is None
         assert engine._node_pending is None
         assert result.placements == []
-        assert oracle_records == result.history
-        assert [schedule_fingerprint(s) for s in recording.schedules] == [
-            schedule_fingerprint(s) for s in result.schedules
-        ]
+        assert dispatch_digest(result.history, result.schedules) == (
+            "1a51ca9a57295c2b"
+        )
 
     def test_power_model_changes_accounting_only(self, selector_factory):
         def drain(power_model):

@@ -20,10 +20,9 @@ import pytest
 
 from repro.clock import CountingClock
 from repro.errors import SchedulingError
-from repro.cluster.batch import BatchSystem, JobState
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import CoSchedulingPolicy, FcfsPolicy, PolicySelector
-from repro.cluster.scheduler import ClusterScheduler
+from repro.cluster.fleet import FleetEngine
 from repro.core.env import CoSchedulingEnv
 from repro.core.optimizer import OnlineOptimizer
 from repro.core.serving import (
@@ -391,43 +390,21 @@ class TestClusterBatchedDispatch:
         trainer, _ = tiny_training
         w = trainer.window_size
         cache = DecisionCache()
-        sched = ClusterScheduler(
-            cluster=ClusterState.homogeneous(3),
-            selector=self._selector(tiny_training, cache),
+        engine = FleetEngine(
+            ClusterState.homogeneous(3),
+            self._selector(tiny_training, cache),
             window_size=w,
+            keep_history=True,
         )
         names = []
         for win in _training_windows(w, 6, seed=23):
             names.extend(j.benchmark_name for j in win)
-        records = sched.run(JobQueue.from_benchmarks(names))
+        engine.submit_queue(JobQueue.from_benchmarks(names))
+        records = engine.run().history
         assert len(records) == 6
         assert sum(r.window_size for r in records) == 6 * w
         assert {r.node_name for r in records} == {"gpu00", "gpu01", "gpu02"}
         # the first round dispatched one window per free node, through
         # one batched serving pass: the decision cache saw every window
         assert cache.stats.lookups >= 6
-        assert sched.summary()["windows_dispatched"] == 6
-
-    def test_batch_system_batched_tick(self, tiny_training):
-        trainer, _ = tiny_training
-        w = trainer.window_size
-        bs = BatchSystem(
-            cluster=ClusterState.homogeneous(2),
-            selector=self._selector(tiny_training, DecisionCache()),
-            window_size=w,
-            min_batch=1,
-        )
-        submitted = []
-        for win in _training_windows(w, 4, seed=29):
-            for job in win:
-                submitted.append(bs.sbatch(job.benchmark_name))
-        bs.drain()
-        assert len(bs.history) == 4
-        assert {r.node_name for r in bs.history} == {"gpu00", "gpu01"}
-        states = {jid: r.state for jid, r in bs._records.items()}
-        assert all(
-            states[jid] is JobState.COMPLETED for jid in submitted
-        )
-        acct = bs.sacct()
-        assert acct["completed"] == len(submitted)
-        assert acct["failed"] == 0
+        assert engine.stats.completed == 6 * w

@@ -5,8 +5,9 @@ Three layers:
 
 * unit tests for :mod:`repro.telemetry` proper, including a golden-file
   check pinning the Chrome ``trace_event`` output format;
-* an integration test asserting a faulty cluster run emits fault /
-  retry / fallback events that reconcile with the accounting counters;
+* an integration test asserting a faulty fleet drain emits fault /
+  retry / requeue / fallback events that reconcile with the engine's
+  accounting counters;
 * a determinism test pinning that telemetry-off runs are
   bitwise-identical to runs with telemetry attached (telemetry is
   strictly an observer).
@@ -18,10 +19,9 @@ import os
 import pytest
 
 from repro.cluster import (
-    BatchSystem,
-    ClusterScheduler,
     ClusterState,
     FcfsPolicy,
+    FleetEngine,
     PolicySelector,
 )
 from repro.errors import ConfigurationError, SchedulingError
@@ -48,30 +48,33 @@ PROGRAMS = ["stream", "kmeans", "lavaMD", "bt_solver_A", "hotspot", "cfd"]
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_trace.json")
 
 
-def make_batch(faults=None, telemetry=NULL_TELEMETRY, n_gpus=2, **kwargs):
-    selector = PolicySelector(
-        co_scheduling=FcfsPolicy(),
+def fcfs_selector(co_scheduling=None, crowding_threshold=10**9):
+    return PolicySelector(
+        co_scheduling=co_scheduling or FcfsPolicy(),
         fcfs=FcfsPolicy(),
-        crowding_threshold=10**9,
+        crowding_threshold=crowding_threshold,
     )
-    return BatchSystem(
-        cluster=ClusterState.homogeneous(n_gpus),
-        selector=selector,
+
+
+def make_engine(faults=None, telemetry=NULL_TELEMETRY, selector=None):
+    """A 2-GPU engine on the exact execution path, whose devices emit
+    the spans and events the telemetry tests read."""
+    return FleetEngine(
+        ClusterState.homogeneous(2),
+        selector or fcfs_selector(),
         window_size=4,
-        min_batch=2,
         faults=faults,
         retry=RetryPolicy(),
         telemetry=telemetry,
-        **kwargs,
+        exact_execution=True,
+        keep_history=True,
     )
 
 
-def drain_programs(bs, repeat=3):
-    for _ in range(repeat):
-        for p in PROGRAMS:
-            bs.sbatch(p)
-    bs.drain()
-    return bs
+def drain_programs(engine, repeat=3):
+    engine.submit_queue(JobQueue.from_benchmarks(PROGRAMS * repeat), at=0.0)
+    engine.run()
+    return engine
 
 
 # ----------------------------------------------------------------------
@@ -113,16 +116,6 @@ class TestRegistry:
         assert snap.buckets == ((0.1, 1), (1.0, 3), (10.0, 4), ("+Inf", 5))
         assert snap.quantile(0.0) == 0.05
         assert snap.quantile(1.0) == 50.0
-
-    def test_histogram_reservoir_is_bounded(self):
-        h = MetricsRegistry().histogram(
-            "r", buckets=(1e9,), reservoir_size=16
-        )
-        for i in range(1000):
-            h.observe(float(i))
-        snap = h.snapshot()
-        assert len(snap.samples) == 16
-        assert snap.count == 1000
 
     def test_get_or_create_idempotent_and_type_checked(self):
         reg = MetricsRegistry()
@@ -278,8 +271,8 @@ class TestNullTelemetry:
         assert tel.registry is None and tel.tracer is None
 
     def test_null_singleton_is_default(self):
-        bs = make_batch()
-        assert bs.telemetry is NULL_TELEMETRY
+        engine = FleetEngine(ClusterState.homogeneous(1), fcfs_selector())
+        assert engine.telemetry is NULL_TELEMETRY
 
 
 # ----------------------------------------------------------------------
@@ -289,13 +282,13 @@ class TestIntegration:
     def test_faulty_run_events_reconcile_with_accounting(self):
         tel = Telemetry()
         inj = FaultInjector(FaultConfig.uniform(0.1, seed=0))
-        bs = drain_programs(make_batch(faults=inj, telemetry=tel))
-        acct = bs.sacct()
+        engine = drain_programs(make_engine(faults=inj, telemetry=tel))
+        stats = engine.stats
         tracer = tel.tracer
         summary = inj.summary()
 
-        assert len(tracer.events(name="retry")) == acct["dispatch_retries"]
-        assert len(tracer.events(name="requeue")) == acct["job_retries"]
+        assert len(tracer.events(name="retry")) == stats.dispatch_retries
+        assert len(tracer.events(name="requeue")) == stats.requeues
         assert (
             len(tracer.events(name="fault:job_failure"))
             == summary["job_failure"]
@@ -317,9 +310,17 @@ class TestIntegration:
         for kind, n in summary.items():
             assert faults.value(kind=kind) == n
         # one window span per dispatch record
-        assert len(tracer.spans(name="window")) == len(bs.history)
+        assert len(tracer.spans(name="window")) == len(engine.history)
         # at least one fault actually fired, or the test is vacuous
         assert sum(summary.values()) > 0
+        # requeues land at crash time, inside the crashed window
+        assert stats.requeues > 0
+        for event in tracer.events(name="requeue"):
+            assert any(
+                r.node_name == event.track
+                and r.start_time <= event.ts <= r.end_time
+                for r in engine.history
+            )
 
     def test_policy_fallback_emits_events(self):
         class RaisingPolicy:
@@ -329,66 +330,48 @@ class TestIntegration:
                 raise SchedulingError("injected optimizer failure")
 
         tel = Telemetry()
-        selector = PolicySelector(
-            co_scheduling=RaisingPolicy(),
-            fcfs=FcfsPolicy(),
-            crowding_threshold=1,
+        selector = fcfs_selector(RaisingPolicy(), crowding_threshold=1)
+        engine = drain_programs(
+            make_engine(telemetry=tel, selector=selector), repeat=1
         )
-        bs = BatchSystem(
-            cluster=ClusterState.homogeneous(2),
-            selector=selector,
-            window_size=4,
-            min_batch=2,
-            telemetry=tel,
-        )
-        drain_programs(bs, repeat=1)
-        acct = bs.sacct()
-        assert acct["fallback_windows"] > 0
-        assert (
-            len(tel.tracer.events(name="fallback")) == acct["fallback_windows"]
-        )
-        assert all(r.fell_back for r in bs.history)
+        assert engine.stats.fallback_windows > 0
+        fallbacks = tel.tracer.events(name="fallback")
+        assert len(fallbacks) == engine.stats.fallback_windows
+        assert all(r.fell_back for r in engine.history)
+        # each fallback event marks its window's start on its node
+        assert [(e.track, e.ts) for e in fallbacks] == [
+            (r.node_name, r.start_time) for r in engine.history
+        ]
 
     def test_busy_intervals_sum_to_utilization(self):
         tel = Telemetry()
-        bs = drain_programs(make_batch(telemetry=tel))
+        cluster = drain_programs(make_engine(telemetry=tel)).cluster
         tls = device_timelines(tel.tracer)
-        for node in bs.cluster.nodes:
+        for node in cluster.nodes:
             busy = sum(iv["duration"] for iv in tls.get(node.name, []))
             assert busy == pytest.approx(node.device.busy_time, abs=1e-9)
         util = utilization_from_timelines(
-            tls, bs.cluster.makespan, len(bs.cluster.nodes)
+            tls, cluster.makespan, len(cluster.nodes)
         )
-        assert util == pytest.approx(bs.cluster.utilization())
+        assert util == pytest.approx(cluster.utilization())
 
-    def test_cluster_scheduler_records_window_spans(self):
+    def test_engine_records_window_spans(self):
         tel = Telemetry()
-        selector = PolicySelector(
-            co_scheduling=FcfsPolicy(),
-            fcfs=FcfsPolicy(),
-            crowding_threshold=10**9,
-        )
-        sched = ClusterScheduler(
-            cluster=ClusterState.homogeneous(2),
-            selector=selector,
-            window_size=4,
-            telemetry=tel,
-        )
-        sched.run(JobQueue.from_benchmarks(PROGRAMS * 2, name="q"))
+        engine = drain_programs(make_engine(telemetry=tel), repeat=2)
         spans = tel.tracer.spans(name="window")
-        assert len(spans) == len(sched.history)
-        for span, record in zip(spans, sched.history):
+        assert len(spans) == len(engine.history)
+        for span, record in zip(spans, engine.history):
             assert span.track == record.node_name
             assert span.start == record.start_time
             assert span.end == record.end_time
         counter = tel.registry.counter("windows_dispatched_total")
-        assert sum(counter.series().values()) == len(sched.history)
+        assert sum(counter.series().values()) == len(engine.history)
 
     def test_batch_history_mirrors_dispatches(self):
-        bs = drain_programs(make_batch())
-        assert len(bs.history) > 0
-        assert all(r.end_time >= r.start_time for r in bs.history)
-        assert sum(r.window_size for r in bs.history) == len(PROGRAMS) * 3
+        engine = drain_programs(make_engine())
+        assert len(engine.history) > 0
+        assert all(r.end_time >= r.start_time for r in engine.history)
+        assert sum(r.window_size for r in engine.history) == len(PROGRAMS) * 3
 
 
 # ----------------------------------------------------------------------
@@ -397,41 +380,29 @@ class TestIntegration:
 class TestDeterminism:
     def run_once(self, telemetry):
         inj = FaultInjector(FaultConfig.uniform(0.15, seed=7))
-        bs = drain_programs(make_batch(faults=inj, telemetry=telemetry))
-        return bs
+        return drain_programs(make_engine(faults=inj, telemetry=telemetry))
 
     def test_telemetry_off_is_bitwise_identical_to_on(self):
         off = self.run_once(NULL_TELEMETRY)
         on = self.run_once(Telemetry())
-        assert off.sacct() == on.sacct()
-        assert [r.state for r in off.squeue()] == [
-            r.state for r in on.squeue()
-        ]
-        assert [r.end_time for r in off.squeue()] == [
-            r.end_time for r in on.squeue()
-        ]
-        assert [r.end_time for r in off.history] == [
-            r.end_time for r in on.history
-        ]
+        assert off.summary() == on.summary()
+        assert off.history == on.history
 
     def test_default_construction_uses_null_path(self):
         default = self.run_once(NULL_TELEMETRY)
         inj = FaultInjector(FaultConfig.uniform(0.15, seed=7))
-        selector = PolicySelector(
-            co_scheduling=FcfsPolicy(),
-            fcfs=FcfsPolicy(),
-            crowding_threshold=10**9,
-        )
-        bare = BatchSystem(  # no telemetry kwarg at all
-            cluster=ClusterState.homogeneous(2),
-            selector=selector,
+        bare = FleetEngine(  # no telemetry kwarg at all
+            ClusterState.homogeneous(2),
+            fcfs_selector(),
             window_size=4,
-            min_batch=2,
             faults=inj,
             retry=RetryPolicy(),
+            exact_execution=True,
+            keep_history=True,
         )
         drain_programs(bare)
-        assert bare.sacct() == default.sacct()
+        assert bare.summary() == default.summary()
+        assert bare.history == default.history
 
 
 # ----------------------------------------------------------------------
@@ -535,12 +506,13 @@ class TestHistogramQuantileEdges:
         assert snap.quantile(1.0) == snap.maximum == 3.0
 
     def test_quantile_after_reservoir_eviction_stays_in_range(self):
-        h = MetricsRegistry().histogram("h", reservoir_size=32)
+        h = MetricsRegistry().histogram("h")
         for i in range(5000):
             h.observe(float(i))
         snap = h.snapshot()
-        assert snap.count == 5000 > len(snap.samples) == 32
+        assert snap.count == 5000
         for q in (0.0, 0.5, 0.95, 1.0):
             assert snap.minimum <= snap.quantile(q) <= snap.maximum
-        # min/max track the full stream, not just the reservoir
+        # min/max track the full stream exactly
         assert snap.minimum == 0.0 and snap.maximum == 4999.0
+        assert snap.quantile(0.0) == 0.0 and snap.quantile(1.0) == 4999.0
